@@ -6,9 +6,9 @@
 #                     the small-sample analytic_check (two-tier
 #                     agreement, single-device and fleet), the SLO
 #                     alerting smoke (healthy silent, overload pages),
-#                     the fleet failover smoke (zero loss at 200k
-#                     requests), the power-loss smoke (crash recovery
-#                     at 100k requests) and the adversarial smoke
+#                     and the three fleet_smoke scenarios: failover
+#                     (zero loss at 200k requests), powerloss (crash
+#                     recovery at 100k requests) and adversarial
 #                     (armed-fleet attack campaign, zero cross-tenant
 #                     reads at 100k requests). The fast inner-loop
 #                     gate; hosted CI runs it on every push and pull
@@ -123,26 +123,26 @@ step "slo_smoke: healthy point silent, overload pages"
 # point must fire zero SLO alerts, overload must fire a page.
 cargo run --release --offline -p cim-bench --bin slo_smoke -- --requests 300
 
-step "fleet_smoke: whole-device failover, zero loss (200k requests)"
+step "fleet_smoke failover: whole-device failover, zero loss (200k requests)"
 # The fleet resilience gates at quick scale: a mid-stream device outage
 # voids and re-routes without loss or double execution, and the fleet
 # out-serves the cluster baseline on the identical workload. The full
 # gate reruns this at the one-million-request soak scale.
-cargo run --release --offline -p cim-bench --bin fleet_smoke -- --requests 200000
+cargo run --release --offline -p cim-bench --bin fleet_smoke -- failover --requests 200000
 
-step "powerloss_smoke: crash recovery, detectable-recovery contract (100k requests)"
+step "fleet_smoke powerloss: crash recovery, detectable-recovery contract (100k requests)"
 # Every engineered outage window becomes a power-loss crash: the device
 # loses its volatile state and rejoins through the nonvolatile restore.
 # Zero loss, exact accounting, pristine restores, double-run determinism.
-cargo run --release --offline -p cim-bench --bin powerloss_smoke -- --requests 100000
+cargo run --release --offline -p cim-bench --bin fleet_smoke -- powerloss --requests 100000
 
-step "adversarial_smoke: armed fleet, zero cross-tenant reads (100k requests)"
+step "fleet_smoke adversarial: armed fleet, zero cross-tenant reads (100k requests)"
 # Every device carries a fenced adversary tile firing one of every
 # attack archetype (forged token, stale replay, cross-partition scan,
 # hostile self-prog, hostile dataflow). Every probe must be blocked,
 # nothing leaks, innocent goodput is untouched, and the leak-control
 # run proves the detector is not vacuous.
-cargo run --release --offline -p cim-bench --bin adversarial_smoke -- --requests 100000
+cargo run --release --offline -p cim-bench --bin fleet_smoke -- adversarial --requests 100000
 
 if [ "$MODE" = quick ]; then
     printf '\n== ci.sh quick: all gates passed\n'
@@ -206,10 +206,10 @@ CIM_THREADS=1 cargo test -q --offline --test powerloss_soak
 step "power-loss soak (CIM_THREADS=4)"
 CIM_THREADS=4 cargo test -q --offline --test powerloss_soak
 
-step "fleet_smoke: one-million-request failover soak"
+step "fleet_smoke failover: one-million-request failover soak"
 # The tentpole acceptance at full scale: zero loss and exact failover
 # accounting across four devices under the two-outage campaign.
-cargo run --release --offline -p cim-bench --bin fleet_smoke
+cargo run --release --offline -p cim-bench --bin fleet_smoke -- failover
 
 # Chaos campaign outputs — shrunk reproducers and action-kind coverage
 # histograms — land in $ART so a red gate uploads its own evidence.
@@ -251,55 +251,37 @@ cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
     --out "$ART/chaos_adversarial_repro.jsonl" \
     --require-full-coverage --coverage-out "$ART/chaos_adversarial_coverage.txt"
 
-step "chaos self-check: weakened invariant must be caught and replay bit-identically"
-# Sabotage one invariant (recovery bound forced to zero): the campaign
-# must detect it, shrink it, and the replay file must reproduce the
-# exact same violation fingerprint at both thread settings.
-if cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 64 --weaken recovery_bound_zero --out "$ART/weakened_repro.jsonl"; then
-    echo "FAIL: weakened chaos campaign did not detect a violation" >&2
-    exit 1
-fi
-[ -s "$ART/weakened_repro.jsonl" ]
-CIM_THREADS=1 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/weakened_repro.jsonl"
-CIM_THREADS=4 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/weakened_repro.jsonl"
-
-step "chaos self-check: skipped volatile wipe must be caught as a dirty restore"
-# Sabotage the power-loss recovery pass (restart keeps stale volatile
-# state): the crash contract must catch it, shrink it to a minimal
-# crash reproducer, and the replay must be bit-identical at both
-# thread settings.
-if cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 32 --power-loss --weaken skip_volatile_clear \
-    --out "$ART/dirty_restore_repro.jsonl"; then
-    echo "FAIL: weakened crash recovery did not detect a dirty restore" >&2
-    exit 1
-fi
-[ -s "$ART/dirty_restore_repro.jsonl" ]
-CIM_THREADS=1 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/dirty_restore_repro.jsonl"
-CIM_THREADS=4 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/dirty_restore_repro.jsonl"
-
-step "chaos self-check: leaked NoC boundary must be caught as a cross-tenant read"
-# Sabotage the isolation boundary (the NoC domain check reports but
-# does not block): iso_no_cross_tenant_read must catch the leak, shrink
-# it to a minimal schedule that still carries the attack, and the
-# replay must be bit-identical at both thread settings.
-if cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 32 --adversarial --weaken leak_cross_partition \
-    --out "$ART/leak_repro.jsonl"; then
-    echo "FAIL: leaky isolation boundary did not trip iso_no_cross_tenant_read" >&2
-    exit 1
-fi
-[ -s "$ART/leak_repro.jsonl" ]
-grep -q '"invariant":"iso_no_cross_tenant_read"' "$ART/leak_repro.jsonl"
-CIM_THREADS=1 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/leak_repro.jsonl"
-CIM_THREADS=4 cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
-    "$ART/leak_repro.jsonl"
+# Weakened-invariant self-checks: each row sabotages one invariant. The
+# campaign must detect it and shrink it to a reproducer that names the
+# invariant it tripped, and the replay must reproduce the exact same
+# violation fingerprint at both thread settings.
+#   recovery_bound_zero   the recovery bound forced to zero
+#   skip_volatile_clear   a power-loss restart keeps stale volatile state
+#   leak_cross_partition  the NoC domain check reports but does not block
+SELF_CHECKS=(
+    "recovery_bound_zero  recovery_bound            weakened_repro.jsonl      --seeds 64"
+    "skip_volatile_clear  crash_no_double_execution dirty_restore_repro.jsonl --seeds 32 --power-loss"
+    "leak_cross_partition iso_no_cross_tenant_read  leak_repro.jsonl          --seeds 32 --adversarial"
+)
+for row in "${SELF_CHECKS[@]}"; do
+    read -r weaken invariant repro flags <<<"$row"
+    step "chaos self-check: --weaken $weaken must trip $invariant and replay bit-identically"
+    # $flags is deliberately unquoted: it holds several campaign flags.
+    # shellcheck disable=SC2086
+    if cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
+        $flags --weaken "$weaken" --out "$ART/$repro"; then
+        echo "FAIL: --weaken $weaken was not detected" >&2
+        exit 1
+    fi
+    if ! grep -q "\"invariant\":\"$invariant\"" "$ART/$repro"; then
+        echo "FAIL: $repro does not name invariant $invariant" >&2
+        exit 1
+    fi
+    for threads in 1 4; do
+        CIM_THREADS=$threads cargo run --release --offline -p cim-chaos --bin chaos_replay -- \
+            "$ART/$repro"
+    done
+done
 
 step "analytic_check: two-tier agreement, wide sample + seed sweep"
 cargo run --release --offline -p cim-bench --bin analytic_check -- \

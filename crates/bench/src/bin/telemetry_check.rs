@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     let Some(path) = path else {
         return usage("missing input file");
     };
-    match cim_bench::telemetry_out::validate_file(&path) {
+    match cim_obs::export::validate_file(&path) {
         Ok(lines) => println!("{}: {lines} valid telemetry lines", path.display()),
         Err(e) => {
             eprintln!("{}: {e}", path.display());
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     }
     if let Some(kinds) = kinds {
         let wanted: Vec<&str> = kinds.split(',').map(str::trim).collect();
-        match cim_bench::telemetry_out::require_kinds(&path, &wanted) {
+        match cim_obs::export::require_kinds(&path, &wanted) {
             Ok(counts) => {
                 let parts: Vec<String> = wanted
                     .iter()

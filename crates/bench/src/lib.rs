@@ -11,4 +11,3 @@
 pub mod experiments;
 pub mod harness;
 pub mod table;
-pub mod telemetry_out;

@@ -1,10 +1,11 @@
 //! Runs one chaos schedule against a serving fabric and checks the
 //! declared invariants.
 //!
-//! The runner boots a fresh [`CimService`] for every run — chaos state
-//! must never leak between schedules — registers two resident request
+//! The runner boots a fresh [`CimFleet`] for every run — one device
+//! unless [`ChaosConfig::fleet_devices`] asks for more; chaos state must
+//! never leak between schedules — registers two resident request
 //! classes (an 8→8 MLP and an elementwise-ReLU pipeline), lowers the
-//! schedule onto the service's event machinery and serves an open-loop
+//! schedule onto the fleet's event machinery and serves an open-loop
 //! arrival stream under the schedule's pressure knobs. Afterwards it
 //! checks, in order:
 //!
@@ -61,7 +62,7 @@ use cim_dataflow::ops::{Elementwise, Operation};
 use cim_fabric::config::FabricConfig;
 use cim_fabric::fleet::{CimFleet, FleetConfig};
 use cim_fabric::security::AttackLog;
-use cim_fabric::service::{CimService, Disposition, RequestOutcome, ServiceConfig, ServiceReport};
+use cim_fabric::service::{Disposition, RequestOutcome, ServiceConfig};
 use cim_noc::packet::NodeId;
 use cim_obs::{AlertEvent, AlertSeverity, ObsConfig};
 use cim_sim::telemetry::{validate_jsonl_line, TelemetryLevel};
@@ -100,12 +101,13 @@ pub struct ChaosConfig {
     pub horizon_ps: u64,
     /// Maximum events per generated schedule.
     pub max_events: usize,
-    /// Fleet size: `>= 2` routes every schedule through a
-    /// [`CimFleet`] of this many devices (whole-device outages join the
-    /// action mix, and a fleet-specific no-double-execution invariant is
-    /// checked); `0`/`1` is the classic single-device path.
+    /// Devices in the harness fleet. `0`/`1` boots one device, a single
+    /// service; `>= 2` adds whole-device outages to the action mix and
+    /// routes every class across [`ChaosConfig::fleet_replicas`]
+    /// devices.
     pub fleet_devices: usize,
-    /// Replicas per tenant class in fleet mode.
+    /// Replicas per tenant class when the harness has two or more
+    /// devices.
     pub fleet_replicas: usize,
     /// Admit [`crate::schedule::ChaosAction::PowerLoss`] crashes into
     /// generated schedules. Off by default so existing configs keep
@@ -305,13 +307,6 @@ fn adversary_tile(cfg: &ChaosConfig) -> NodeId {
     )
 }
 
-/// Fleet-only accounting the no-double-execution invariant checks.
-struct FleetAccounting {
-    served_total: u64,
-    voided_total: u64,
-    failovers: usize,
-}
-
 struct RunOnce {
     /// offered / admitted / shed / completed / timed out / failed.
     counts: [usize; 6],
@@ -319,6 +314,11 @@ struct RunOnce {
     retries: usize,
     crashes: usize,
     dirty_restores: usize,
+    /// Final executions served and attempts voided across devices, and
+    /// the failovers that voided them.
+    served_total: u64,
+    voided_total: u64,
+    failovers: usize,
     fingerprint: u64,
     telemetry: String,
     series_jsonl: String,
@@ -327,8 +327,6 @@ struct RunOnce {
     /// Last simulated instant any request was observed at (triage
     /// timestamp for synthetic invariant alerts).
     end_time: SimTime,
-    /// Present only on fleet runs.
-    fleet: Option<FleetAccounting>,
     /// Present only on adversarial runs (armed devices).
     attack: Option<AttackSummary>,
 }
@@ -347,121 +345,29 @@ fn last_observed(outcomes: &[RequestOutcome]) -> SimTime {
         .unwrap_or(SimTime::ZERO)
 }
 
-/// Boots a fresh harness — a single service, or a [`CimFleet`] when
-/// [`ChaosConfig::is_fleet`] — and runs the schedule once.
-fn run_once(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce, String> {
-    if cfg.is_fleet() {
-        return run_once_fleet(cfg, schedule);
-    }
-    let fabric = FabricConfig {
-        mesh_width: cfg.mesh_width,
-        mesh_height: cfg.mesh_height,
-        units_per_tile: cfg.units_per_tile,
-        dpe: DpeConfig::ideal(),
-        encryption: cfg.adversarial,
-        ..FabricConfig::default()
-    };
-    let service_cfg = ServiceConfig {
-        queue_capacity: cfg.queue_capacity,
-        max_attempts: cfg.max_attempts,
-        restore_clears_volatile: cfg.weaken != Weaken::SkipVolatileClear,
-        ..ServiceConfig::default()
-    };
-    // The service seed is FIXED: all chaos randomness lives in the
-    // schedule, so (config, schedule) alone determines the run.
-    let mut svc = CimService::new(fabric, service_cfg, SeedTree::new(0xC1A0_5EED))
-        .map_err(|e| format!("service boot failed: {e}"))?;
-    let tel = svc
-        .runtime_mut()
-        .device_mut()
-        .enable_telemetry(TelemetryLevel::Full);
-    // The observability pipeline rides every chaos run: SLO burn-rate
-    // alerts become part of the fingerprint and the triage timeline.
-    svc.enable_observability(ObsConfig::default());
-
-    // Adversarial runs arm one tile BEFORE tenant classes place: its
-    // units are fenced (so placement avoids them) and the tile joins
-    // its own NoC isolation domain. The victim/attacker split is part
-    // of the boot image, so an attack-free replay boots identically.
-    let mut armed_units: Vec<usize> = Vec::new();
-    if cfg.adversarial {
-        let dev = svc.runtime_mut().device_mut();
-        armed_units = dev.arm_adversary(adversary_tile(cfg));
-        if cfg.weaken == Weaken::LeakCrossPartition {
-            dev.noc_mut().set_leak_cross_partition(true);
-        }
-    }
-
-    let deadline = schedule.pressure.deadline(cfg.base_deadline);
-    let (mlp, mlp_src, mlp_sink) =
-        cim_workloads::nn::mlp_graph(&[8, 8], SeedTree::new(0xC1A55).child("mlp"));
-    svc.register_class("mlp", mlp, mlp_src, mlp_sink, deadline, 2)
-        .map_err(|e| format!("mlp class registration failed: {e}"))?;
-    let (relu, relu_src, relu_sink) = relu_graph(8);
-    svc.register_class("relu", relu, relu_src, relu_sink, deadline, 1)
-        .map_err(|e| format!("relu class registration failed: {e}"))?;
-
-    let rate_hz = schedule.pressure.rate_hz(cfg.base_rate_hz);
-    let events = schedule.to_service_events();
-    let report = svc
-        .run_open_loop(rate_hz, cfg.requests, &events)
-        .map_err(|e| format!("serving run aborted: {e}"))?;
-
-    let telemetry = tel.export_jsonl();
-    let recovery_latencies = svc.runtime().device().recovery_latencies();
-    let attack = svc
-        .runtime()
-        .device()
-        .attack_log()
-        .map(|log| AttackSummary {
-            out_of_domain_touches: log.touched_outside(&armed_units),
-            log: log.clone(),
-        });
-    let fingerprint = fingerprint_run(&report, &telemetry);
-    Ok(RunOnce {
-        counts: [
-            report.offered,
-            report.admitted,
-            report.shed,
-            report.completed,
-            report.timed_out,
-            report.failed,
-        ],
-        recoveries: report.recoveries,
-        retries: report.retries,
-        crashes: report.crashes,
-        dirty_restores: report.dirty_restores,
-        fingerprint,
-        telemetry,
-        series_jsonl: report.series_jsonl.clone(),
-        alerts: report.alerts.clone(),
-        recovery_latencies,
-        end_time: last_observed(&report.outcomes),
-        fleet: None,
-        attack,
-    })
-}
-
-/// Boots a fresh fleet and runs the schedule once across it. Same fixed
-/// seed, same two tenant classes as the single-device path; the
-/// schedule lowers through
+/// Boots a fresh harness — a [`CimFleet`] of
+/// [`ChaosConfig::fleet_devices`] devices, one device being a single
+/// service — and runs the schedule once. The schedule lowers through
 /// [`crate::schedule::ChaosSchedule::to_fleet_events`], so device
 /// outages fence whole devices and unit faults land on
 /// `unit / units_per_device`.
-fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce, String> {
-    let fabric = FabricConfig {
-        mesh_width: cfg.mesh_width,
-        mesh_height: cfg.mesh_height,
-        units_per_tile: cfg.units_per_tile,
-        seed: 0xC1A0_5EED,
-        dpe: DpeConfig::ideal(),
-        encryption: cfg.adversarial,
-        ..FabricConfig::default()
-    };
+fn run_once(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce, String> {
+    let devices = cfg.fleet_devices.max(1);
     let fleet_cfg = FleetConfig {
-        devices: cfg.fleet_devices,
-        replicas: cfg.fleet_replicas,
-        fabric,
+        devices,
+        replicas: if cfg.is_fleet() {
+            cfg.fleet_replicas
+        } else {
+            1
+        },
+        fabric: FabricConfig {
+            mesh_width: cfg.mesh_width,
+            mesh_height: cfg.mesh_height,
+            units_per_tile: cfg.units_per_tile,
+            dpe: DpeConfig::ideal(),
+            encryption: cfg.adversarial,
+            ..FabricConfig::default()
+        },
         service: ServiceConfig {
             queue_capacity: cfg.queue_capacity,
             max_attempts: cfg.max_attempts,
@@ -470,9 +376,11 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
         },
         ..FleetConfig::default()
     };
+    // The fleet seed is FIXED: all chaos randomness lives in the
+    // schedule, so (config, schedule) alone determines the run.
     let mut fleet = CimFleet::new(fleet_cfg, SeedTree::new(0xC1A0_5EED))
         .map_err(|e| format!("fleet boot failed: {e}"))?;
-    let tels: Vec<_> = (0..fleet.device_count())
+    let tels: Vec<_> = (0..devices)
         .map(|d| {
             fleet
                 .runtime_mut(d)
@@ -480,13 +388,18 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
                 .enable_telemetry(TelemetryLevel::Full)
         })
         .collect();
+    // The observability pipeline rides every chaos run: SLO burn-rate
+    // alerts become part of the fingerprint and the triage timeline.
     fleet.enable_observability(ObsConfig::default());
 
-    // Every fleet device boots with the same armed adversary tile (see
-    // the single-device path for why this precedes class placement).
+    // Adversarial runs arm one tile on every device BEFORE tenant
+    // classes place: its units are fenced (so placement avoids them)
+    // and the tile joins its own NoC isolation domain. The
+    // victim/attacker split is part of the boot image, so an
+    // attack-free replay boots identically.
     let mut armed_units: Vec<usize> = Vec::new();
     if cfg.adversarial {
-        for d in 0..fleet.device_count() {
+        for d in 0..devices {
             let dev = fleet.runtime_mut(d).device_mut();
             armed_units = dev.arm_adversary(adversary_tile(cfg));
             if cfg.weaken == Weaken::LeakCrossPartition {
@@ -507,13 +420,13 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
         .map_err(|e| format!("relu class registration failed: {e}"))?;
 
     let rate_hz = schedule.pressure.rate_hz(cfg.base_rate_hz);
-    let events = schedule.to_fleet_events(cfg.fleet_devices, cfg.total_units());
+    let events = schedule.to_fleet_events(devices, cfg.total_units());
     let report = fleet
         .run_open_loop(rate_hz, cfg.requests, &events)
-        .map_err(|e| format!("fleet run aborted: {e}"))?;
+        .map_err(|e| format!("serving run aborted: {e}"))?;
 
     let telemetry: String = tels.iter().map(|t| t.export_jsonl()).collect();
-    let recovery_latencies: Vec<SimDuration> = (0..fleet.device_count())
+    let recovery_latencies: Vec<SimDuration> = (0..devices)
         .flat_map(|d| fleet.runtime(d).device().recovery_latencies())
         .collect();
     let attack = cfg.adversarial.then(|| {
@@ -521,7 +434,7 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
             log: AttackLog::default(),
             out_of_domain_touches: 0,
         };
-        for d in 0..fleet.device_count() {
+        for d in 0..devices {
             if let Some(log) = fleet.runtime(d).device().attack_log() {
                 summary.out_of_domain_touches += log.touched_outside(&armed_units);
                 summary.log.absorb(log, d * cfg.total_units());
@@ -529,9 +442,9 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
         }
         summary
     });
-    // The fleet's own streaming fingerprint covers every outcome; fold
-    // in the telemetry, series and alert exports exactly like the
-    // single-device digest does.
+    // The fleet's streaming fingerprint covers every outcome; fold in
+    // the telemetry, series and alert exports: the equality witness
+    // replay and thread-invariance checks compare.
     let mut h = Fnv::new();
     h.u64(report.fingerprint);
     h.bytes(telemetry.as_bytes());
@@ -557,68 +470,17 @@ fn run_once_fleet(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunOnce
         retries: report.retries,
         crashes: report.crashes,
         dirty_restores: report.dirty_restores,
+        served_total: report.served_total(),
+        voided_total: report.voided_total(),
+        failovers: report.failovers,
         fingerprint: h.finish(),
         telemetry,
-        series_jsonl: report.series_jsonl.clone(),
-        alerts: report.alerts.clone(),
+        series_jsonl: report.series_jsonl,
+        alerts: report.alerts,
         recovery_latencies,
         end_time: last_observed(&report.outcomes),
-        fleet: Some(FleetAccounting {
-            served_total: report.served_total(),
-            voided_total: report.voided_total(),
-            failovers: report.failovers,
-        }),
         attack,
     })
-}
-
-/// FNV-1a over every outcome plus the telemetry export, the windowed
-/// series export and the alert timeline: the equality witness replay and
-/// thread-invariance checks compare.
-fn fingerprint_run(report: &ServiceReport, telemetry: &str) -> u64 {
-    let mut h = Fnv::new();
-    for o in &report.outcomes {
-        h.u64(o.id);
-        h.u64(o.class as u64);
-        h.u64(o.arrival.as_ps());
-        match &o.disposition {
-            Disposition::Completed {
-                finished,
-                attempts,
-                recovered,
-                output,
-            } => {
-                h.u64(1);
-                h.u64(finished.as_ps());
-                h.u64(u64::from(*attempts));
-                h.u64(u64::from(*recovered));
-                for v in output {
-                    h.u64(v.to_bits());
-                }
-            }
-            Disposition::TimedOut { finished, attempts } => {
-                h.u64(2);
-                h.u64(finished.as_ps());
-                h.u64(u64::from(*attempts));
-            }
-            Disposition::Shed => h.u64(3),
-            Disposition::Failed { attempts } => {
-                h.u64(4);
-                h.u64(u64::from(*attempts));
-            }
-        }
-    }
-    h.bytes(telemetry.as_bytes());
-    h.bytes(report.series_jsonl.as_bytes());
-    for a in &report.alerts {
-        h.u64(a.at.as_ps());
-        h.bytes(a.tenant.as_bytes());
-        h.bytes(a.rule.as_bytes());
-        h.byte(u8::from(a.severity == AlertSeverity::Page));
-        h.u64(a.burn_rate.to_bits());
-        h.u64(a.window.as_ps());
-    }
-    h.finish()
 }
 
 /// The violating run's triage timeline: its SLO alerts, a ticket per
@@ -769,31 +631,29 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &ChaosSchedule) -> Result<RunRe
         });
     }
 
-    // 1c. Fleet runs: whole-device failover must never double-count an
-    // execution — each request's final run is served exactly once, and
-    // every failover voids exactly one in-flight attempt.
-    if let Some(fleet) = &first.fleet {
-        if fleet.served_total != (completed + timed_out) as u64
-            || fleet.voided_total != fleet.failovers as u64
-        {
-            let invariant = if crash {
-                "crash_no_double_execution"
-            } else {
-                "no_double_execution"
-            };
-            return Err(Violation {
-                invariant,
-                detail: format!(
-                    "devices served {} (completed + timed_out is {}), voided {} across {} failovers",
-                    fleet.served_total,
-                    completed + timed_out,
-                    fleet.voided_total,
-                    fleet.failovers
-                ),
-                fingerprint: Some(first.fingerprint),
-                alerts: triage_alerts(invariant, Some(&first), schedule),
-            });
-        }
+    // 1c. Failover must never double-count an execution — each
+    // request's final run is served exactly once, and every failover
+    // voids exactly one in-flight attempt.
+    if first.served_total != (completed + timed_out) as u64
+        || first.voided_total != first.failovers as u64
+    {
+        let invariant = if crash {
+            "crash_no_double_execution"
+        } else {
+            "no_double_execution"
+        };
+        return Err(Violation {
+            invariant,
+            detail: format!(
+                "devices served {} (completed + timed_out is {}), voided {} across {} failovers",
+                first.served_total,
+                completed + timed_out,
+                first.voided_total,
+                first.failovers
+            ),
+            fingerprint: Some(first.fingerprint),
+            alerts: triage_alerts(invariant, Some(&first), schedule),
+        });
     }
 
     // 1d. Containment: every adversarial probe must be stopped at the

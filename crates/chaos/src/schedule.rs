@@ -5,8 +5,9 @@
 //! `cim_fabric`'s [`ServiceEvent`] so it can implement the in-tree
 //! [`Shrink`] trait (the orphan rule forbids implementing `cim_sim`'s
 //! trait for `cim_fabric`'s type) and serialize to one JSON line per
-//! event. [`ChaosEvent::to_service_event`] lowers each event onto the
-//! fabric's injection machinery at run time.
+//! event. [`ChaosSchedule::to_fleet_events`] lowers a schedule onto the
+//! fabric's event machinery at run time, device-local actions through
+//! [`ChaosEvent::to_service_event`].
 
 use cim_fabric::engine::InjectionKind;
 use cim_fabric::fleet::FleetEvent;
@@ -562,8 +563,8 @@ impl ChaosEvent {
                     seed: u64::from(seed),
                 },
             },
-            // A single-device harness still crashes: the device index
-            // is meaningless with one device, so it is ignored.
+            // Device-local: the device index is already spent (fleet
+            // lowering turns a crash into a `FleetEvent::PowerLoss`).
             ChaosAction::PowerLoss {
                 restart_after_ps, ..
             } => ServiceEvent::PowerLoss {
@@ -782,19 +783,6 @@ impl ChaosSchedule {
         }
     }
 
-    /// Lowers the whole schedule to service events, sorted by time.
-    /// Fleet-only actions (device outages) are dropped — they have no
-    /// single-device meaning.
-    pub fn to_service_events(&self) -> Vec<ServiceEvent> {
-        let mut evs: Vec<ServiceEvent> = self
-            .events
-            .iter()
-            .filter_map(ChaosEvent::to_service_event)
-            .collect();
-        evs.sort_by_key(ServiceEvent::at);
-        evs
-    }
-
     /// Lowers the whole schedule onto an `n_devices` fleet, sorted by
     /// time (see [`ChaosEvent::to_fleet_event`]).
     pub fn to_fleet_events(&self, n_devices: usize, units_per_device: usize) -> Vec<FleetEvent> {
@@ -1008,7 +996,7 @@ mod tests {
                 },
             ],
         };
-        let evs = sched.to_service_events();
+        let evs = sched.to_fleet_events(1, 16);
         assert_eq!(evs.len(), 2);
         assert!(evs.windows(2).all(|w| w[0].at() <= w[1].at()));
     }

@@ -1,29 +1,49 @@
-//! Multi-device serving fleet: tenant-aware routing and whole-device
-//! failover (paper §IV.B/C at fleet scale, Table 1 made live).
+//! Request serving: the one request path, from a single device's front
+//! door (§III.E) to a multi-device fleet with whole-device failover
+//! (§IV.B/C at fleet scale, Table 1 made live).
 //!
-//! [`crate::service::CimService`] fronts one device; a production story
-//! needs a *fleet*. [`CimFleet`] owns N simulated [`CimRuntime`] devices
-//! and adds the router tier above them: each tenant class is sharded
-//! onto a replica set of devices (resident programs on every replica),
-//! arrivals are routed to the least-outstanding live replica, and a
-//! whole-device outage ([`FleetEvent::DeviceDown`]) fences the device —
+//! The paper's deployment story starts with CIM parts attached "as slave
+//! devices" that a host hands work to, and composes them into systems
+//! that fail over. [`CimFleet`] is that front door at every scale. It
+//! owns N simulated [`CimRuntime`] devices, keeps one resident program
+//! per tenant class on each of a class's replica devices (stationary
+//! weights), admits an open-loop arrival stream against a bounded queue
+//! per device, sheds load once the routed queue is full, enforces
+//! per-request deadlines, and retries recoverable faults with bounded
+//! exponential backoff — riding on the engine's §V.A mid-stream spare
+//! recovery for faults that surface while a request is executing.
+//!
+//! Arrivals are routed to the least-outstanding live replica. A
+//! whole-device outage ([`FleetEvent::DeviceDown`]) fences the device:
 //! requests caught mid-execution are *voided* (their work discarded,
 //! never double-counted) and re-dispatched to a surviving replica after
 //! a short detection delay. [`FleetEvent::DeviceUp`] re-admits the
-//! repaired device into routing.
+//! repaired device. A [`FleetEvent::PowerLoss`] fences the device until
+//! a known restart; when no replica of a class is live and one of them
+//! is dark from a power loss, the request waits for the earliest
+//! restart, and its deadline is checked after that wait.
+//!
+//! A fleet of one device and one replica is a single service, and
+//! [`crate::service::CimService`] is exactly that: the lone device keeps
+//! the template seed, has nothing to route between and no router to
+//! detect a crash (zero detection delay), and records `service/*`
+//! metrics on its own telemetry (nothing while that is off). A fleet of
+//! two or more devices records `fleet/*` and `fleet/dev{i}/*` on a
+//! private, always-on registry.
 //!
 //! The contrast with a conventional cluster is the failover currency:
 //! CIM replicas hold *resident* programmed conductances, so recovery
 //! pays only detection plus re-execution, not the
 //! checkpoint-shipping/state-transfer penalty `baseline::cluster`
-//! charges (50 ms detection + state over the network). The fleet report
-//! keeps the full arrival record so `baseline::serving` can replay the
+//! charges (50 ms detection + state over the network). The report keeps
+//! the full arrival record so `baseline::serving` can replay the
 //! identical workload through the cluster model — one harness, two
 //! platforms, same chaos schedule.
 //!
 //! ```text
 //!            ┌─ router: shard + replica set per class ─┐
-//! arrivals ──┤  least-outstanding live replica          ├──► device 0..N
+//! arrivals ──┤  admission (queue bound) ─► dispatch     ├──► device 0..N
+//!            │  full: shed   fault: backoff + retry     │
 //!            └─ DeviceDown: void + re-route + detect ───┘
 //! ```
 //!
@@ -34,12 +54,10 @@
 //! outcome storage is turned off for soaks.
 
 use crate::config::FabricConfig;
+use crate::engine::StreamOptions;
 use crate::error::{FabricError, Result};
 use crate::runtime::{CimRuntime, JobId, JobStatus};
-use crate::service::{
-    backoff_delay, weighted_pick, Disposition, LatencyStats, RequestOutcome, ServiceConfig,
-    ServiceEvent,
-};
+use crate::service::{Disposition, LatencyStats, RequestOutcome, ServiceConfig, ServiceEvent};
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
 use cim_sim::energy::Energy;
 use cim_sim::rng::{exponential, splitmix64, Rng};
@@ -64,12 +82,14 @@ pub enum RoutingPolicy {
 /// Fleet-level knobs on top of the per-device [`ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Devices in the fleet.
+    /// Devices in the fleet. One device is a single service (see the
+    /// module docs).
     pub devices: usize,
     /// Replicas per tenant class (resident copies on distinct devices).
     pub replicas: usize,
-    /// Per-device fabric template; device `i` gets a distinct derived
-    /// seed so stochastic models decorrelate across the fleet.
+    /// Per-device fabric template. With two or more devices, device `i`
+    /// gets a distinct derived seed so stochastic models decorrelate
+    /// across the fleet; a lone device keeps the template seed.
     pub fabric: FabricConfig,
     /// Admission/retry policy, applied per device queue.
     pub service: ServiceConfig,
@@ -78,7 +98,8 @@ pub struct FleetConfig {
     /// Delay between a device dying under a request and the router
     /// re-dispatching it to a replica — the CIM failover currency:
     /// replicas are already resident, so this is detection, not state
-    /// transfer.
+    /// transfer. A lone device has no router to detect anything: it
+    /// re-dispatches a voided attempt at the restart, with no delay.
     pub failover_detect: SimDuration,
     /// Keep per-request outcomes on the report. Turn off for multi-
     /// million-request soaks; the fingerprint and counters still cover
@@ -179,7 +200,7 @@ pub struct DeviceLoad {
     pub energy: Energy,
 }
 
-/// SLO accounting for one fleet run.
+/// SLO accounting for one serving run (a fleet, or a single service).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Per-request outcomes in arrival order; empty when
@@ -208,7 +229,8 @@ pub struct FleetReport {
     /// Retry attempts beyond each request's first (not counting
     /// failover re-routes).
     pub retries: usize,
-    /// Whole-device failover re-routes performed by the router.
+    /// Attempts voided because their device died under them, each one
+    /// re-dispatched (to a replica, or after the restart).
     pub failovers: usize,
     /// Power-loss crashes recovered by devices (each one a
     /// [`crate::runtime::CimRuntime::power_cycle`] pass).
@@ -216,7 +238,7 @@ pub struct FleetReport {
     /// Crashes whose restore left non-pristine volatile state. Always 0
     /// under the shipped recovery pass; nonzero only when
     /// [`ServiceConfig::restore_clears_volatile`] is deliberately
-    /// weakened.
+    /// weakened — the detectable half of the recovery contract.
     pub dirty_restores: usize,
     /// Latency distribution of requests that ran to completion.
     pub latency: LatencyStats,
@@ -228,10 +250,12 @@ pub struct FleetReport {
     /// output bits) — order-sensitive, collected streamingly so soaks
     /// with `keep_outcomes: false` still get an exact equality check.
     pub fingerprint: u64,
-    /// SLO alert timeline (empty unless observability is enabled).
+    /// SLO alert timeline in firing order (empty unless observability
+    /// is enabled).
     pub alerts: Vec<cim_obs::AlertEvent>,
-    /// `kind:"series"` JSON-lines export of the fleet time-series
-    /// (empty unless observability is enabled).
+    /// `kind:"series"` JSON-lines export of the windowed time-series
+    /// (empty unless observability is enabled; analytic-mode runs carry
+    /// the coarse series synthesized from the queue operating point).
     pub series_jsonl: String,
 }
 
@@ -261,6 +285,49 @@ impl FleetReport {
     pub fn voided_total(&self) -> u64 {
         self.per_device.iter().map(|d| d.voided).sum()
     }
+
+    /// The analytic tier's queueing view of this run: an M/D/1-style
+    /// model built from the offered arrival rate and the observed mean
+    /// service time of requests that ran to completion. Use it to ask
+    /// closed-form questions — is this operating point stable, what
+    /// wait does the queue add — without re-running the stream;
+    /// `analytic_check` cross-validates it against full runs.
+    pub fn queue_model(&self, rate_hz: f64) -> cim_sim::analytic::QueueModel {
+        cim_sim::analytic::QueueModel::new(
+            rate_hz,
+            SimDuration::from_ns_f64(self.latency.mean_us * 1_000.0),
+        )
+    }
+}
+
+/// Backoff before the next attempt after `attempts` attempts have been
+/// made: `base · 2^(attempts-1)`, with the exponent saturated at 32 so
+/// attempt counts near 64 (or beyond) cap the delay instead of
+/// overflowing the shift. Monotone non-decreasing in `attempts`, then
+/// constant at the cap.
+pub(crate) fn backoff_delay(base: SimDuration, attempts: u32) -> SimDuration {
+    base * (1u64 << attempts.saturating_sub(1).min(32))
+}
+
+/// Draws an index from `weights` proportionally to each entry, consuming
+/// exactly one `gen_range` from the RNG.
+///
+/// # Panics
+///
+/// Panics (in `gen_range`) if every weight is zero; callers validate.
+fn weighted_pick(rng: &mut impl Rng, weights: &[u32]) -> usize {
+    let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+    let mut pick = rng.gen_range(0..total);
+    let mut idx = weights.len() - 1;
+    for (i, &w) in weights.iter().enumerate() {
+        let w = u64::from(w);
+        if pick < w {
+            idx = i;
+            break;
+        }
+        pick -= w;
+    }
+    idx
 }
 
 /// Streaming FNV-1a over little-endian words (same parameters as the
@@ -295,11 +362,157 @@ struct FleetDevice {
     rt: CimRuntime,
     /// Departure times of requests whose final execution ran here.
     in_flight: Vec<SimTime>,
+    /// Per-run accounting, reset at the start of every run.
     dispatched: u64,
     served: u64,
     voided: u64,
     crashes: u64,
     dirty_restores: u64,
+}
+
+/// One fenced interval `[start, end)` of a device. A power loss knows
+/// its restart; a [`FleetEvent::DeviceDown`] stays open (`end ==
+/// SimTime::MAX`) until its [`FleetEvent::DeviceUp`].
+#[derive(Debug, Clone, Copy)]
+struct Outage {
+    start: SimTime,
+    end: SimTime,
+    power_loss: bool,
+}
+
+/// One run's event schedule, split into its three consumers: fenced
+/// intervals per device (routing), device-local events with their
+/// apply-once cursor (engine injections and power cycles), and
+/// front-door bursts.
+struct Schedule {
+    outages: Vec<Vec<Outage>>,
+    events: Vec<Vec<ServiceEvent>>,
+    cursor: Vec<usize>,
+    bursts: Vec<(SimTime, u16)>,
+}
+
+impl Schedule {
+    /// Sorts `events` by time and splits them across `n` devices. A
+    /// down or a crash landing inside an open outage, or inside the
+    /// detection window `detect` of the previous one's start, is
+    /// shadowed: the router has not re-admitted the device yet, so a
+    /// flap is one outage, not two, and a crash while dark kills
+    /// nothing new.
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::InvalidConfig`] for an event naming a device
+    /// outside the fleet.
+    fn new(events: &[FleetEvent], n: usize, detect: SimDuration) -> Result<Schedule> {
+        let mut events = events.to_vec();
+        events.sort_by_key(FleetEvent::at);
+        let mut s = Schedule {
+            outages: vec![Vec::new(); n],
+            events: vec![Vec::new(); n],
+            cursor: vec![0; n],
+            bursts: Vec::new(),
+        };
+        for ev in events {
+            match ev {
+                FleetEvent::DeviceDown { at, device } => {
+                    check_device(device, n)?;
+                    if !s.shadowed(device, at, detect) {
+                        s.outages[device].push(Outage {
+                            start: at,
+                            end: SimTime::MAX,
+                            power_loss: false,
+                        });
+                    }
+                }
+                FleetEvent::DeviceUp { at, device } => {
+                    check_device(device, n)?;
+                    // An up with no matching open down (the down was
+                    // shadowed, or never happened) is a no-op.
+                    if let Some(last) = s.outages[device].last_mut() {
+                        if last.end == SimTime::MAX && last.start <= at {
+                            last.end = at;
+                        }
+                    }
+                }
+                FleetEvent::PowerLoss {
+                    at,
+                    device,
+                    restart_after,
+                } => {
+                    check_device(device, n)?;
+                    if !s.shadowed(device, at, detect) {
+                        // Fence like an outage with a known end, and
+                        // queue the recovery pass on the device's event
+                        // feed so the power cycle applies exactly once,
+                        // before the next attempt touches state.
+                        s.outages[device].push(Outage {
+                            start: at,
+                            end: at + restart_after,
+                            power_loss: true,
+                        });
+                        s.events[device].push(ServiceEvent::PowerLoss { at, restart_after });
+                    }
+                }
+                FleetEvent::Device { device, event } => {
+                    check_device(device, n)?;
+                    s.events[device].push(event);
+                }
+                FleetEvent::ArrivalBurst { at, extra } => s.bursts.push((at, extra)),
+            }
+        }
+        Ok(s)
+    }
+
+    fn shadowed(&self, device: usize, at: SimTime, detect: SimDuration) -> bool {
+        let outages = &self.outages[device];
+        down_at(outages, at) || outages.last().is_some_and(|o| at < o.start + detect)
+    }
+}
+
+/// Where one run's serving metrics land: `service/*` on a lone device's
+/// own telemetry (nothing while that is off), or `fleet/*` plus
+/// per-device `fleet/dev{i}/*` on the fleet's private registry.
+struct Sink {
+    tel: Telemetry,
+    /// `service` or `fleet`; `None` while a lone device records nothing.
+    run: Option<ComponentId>,
+    /// `fleet/dev{i}` per device; empty for a lone device.
+    dev: Vec<ComponentId>,
+}
+
+impl Sink {
+    fn add(&self, metric: &'static str, n: u64) {
+        if let Some(c) = self.run {
+            self.tel.counter_add(c, metric, n);
+        }
+    }
+
+    fn gauge(&self, metric: &'static str, v: f64) {
+        if let Some(c) = self.run {
+            self.tel.gauge_set(c, metric, v);
+        }
+    }
+
+    fn record(&self, metric: &'static str, v: u64) {
+        if let Some(c) = self.run {
+            self.tel.record(c, metric, v);
+        }
+    }
+
+    /// A per-device counter; fleets only.
+    fn add_dev(&self, device: usize, metric: &'static str) {
+        if let Some(&c) = self.dev.get(device) {
+            self.tel.counter_add(c, metric, 1);
+        }
+    }
+
+    /// A crash counter: per device in a fleet, on the run component of
+    /// a lone device.
+    fn add_crash(&self, device: usize, metric: &'static str) {
+        if let Some(c) = self.dev.get(device).copied().or(self.run) {
+            self.tel.counter_add(c, metric, 1);
+        }
+    }
 }
 
 /// What one dispatch attempt on a device came back with.
@@ -312,7 +525,32 @@ enum Attempt {
     Recoverable,
 }
 
-/// The router tier over N CIM devices.
+/// How an admitted request left the dispatch loop.
+enum Exit {
+    /// Ran until `finished`; an empty `output` means it gave up past
+    /// its deadline.
+    Finished {
+        finished: SimTime,
+        attempts: u32,
+        recovered: bool,
+        output: Vec<f64>,
+    },
+    /// Every attempt hit a recoverable fault and the budget ran out.
+    Exhausted { attempts: u32 },
+}
+
+impl Exit {
+    fn gave_up(finished: SimTime, attempts: u32) -> Exit {
+        Exit::Finished {
+            finished,
+            attempts,
+            recovered: false,
+            output: Vec::new(),
+        }
+    }
+}
+
+/// The request-serving front door over N CIM devices.
 ///
 /// # Examples
 ///
@@ -345,7 +583,9 @@ pub struct CimFleet {
     /// sets on consecutive devices, spreading tenants across the fleet.
     next_shard: usize,
     next_request: u64,
-    tel: Telemetry,
+    /// The fleet's private metrics registry; `None` for a lone device,
+    /// which records on its own telemetry instead.
+    tel: Option<Telemetry>,
     obs: Option<cim_obs::ObsConfig>,
 }
 
@@ -360,43 +600,48 @@ impl std::fmt::Debug for CimFleet {
 }
 
 impl CimFleet {
-    /// Boots `cfg.devices` fresh devices. Device `i` derives its fabric
-    /// seed from the template seed, so the fleet's stochastic models
-    /// (noise, drift, cell faults) decorrelate across devices while the
-    /// whole fleet stays a pure function of one root seed.
+    /// Boots `cfg.devices` fresh devices. With two or more, device `i`
+    /// derives its fabric seed from the template seed, so the fleet's
+    /// stochastic models (noise, drift, cell faults) decorrelate across
+    /// devices while the whole fleet stays a pure function of one root
+    /// seed; a lone device keeps the template seed.
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::InvalidConfig`] for zero devices or a
-    /// replica count outside `1..=devices`; propagates device
-    /// construction failures.
+    /// Returns [`FabricError::InvalidConfig`] for zero devices, a
+    /// replica count outside `1..=devices`, zero attempts per request
+    /// or a zero queue capacity; propagates device construction
+    /// failures.
     pub fn new(cfg: FleetConfig, seeds: SeedTree) -> Result<Self> {
+        let invalid = |reason: String| Err(FabricError::InvalidConfig { reason });
         if cfg.devices == 0 {
-            return Err(FabricError::InvalidConfig {
-                reason: "fleet needs at least one device".into(),
-            });
+            return invalid("fleet needs at least one device".into());
         }
         if cfg.replicas == 0 || cfg.replicas > cfg.devices {
-            return Err(FabricError::InvalidConfig {
-                reason: format!(
-                    "replica count {} must be in 1..={} (device count)",
-                    cfg.replicas, cfg.devices
-                ),
-            });
+            return invalid(format!(
+                "replica count {} must be in 1..={} (device count)",
+                cfg.replicas, cfg.devices
+            ));
         }
-        assert!(cfg.service.max_attempts >= 1, "need at least one attempt");
-        assert!(
-            cfg.service.queue_capacity >= 1,
-            "queue capacity must be positive"
-        );
+        if cfg.service.max_attempts == 0 {
+            return invalid("need at least one attempt per request".into());
+        }
+        if cfg.service.queue_capacity == 0 {
+            return invalid("queue capacity must be positive".into());
+        }
+        let lone = cfg.devices == 1;
         let mut devices = Vec::with_capacity(cfg.devices);
         for i in 0..cfg.devices {
-            let fabric = FabricConfig {
-                seed: splitmix64(cfg.fabric.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                ..cfg.fabric.clone()
+            let seed = if lone {
+                cfg.fabric.seed
+            } else {
+                splitmix64(cfg.fabric.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             };
             devices.push(FleetDevice {
-                rt: CimRuntime::new(fabric)?,
+                rt: CimRuntime::new(FabricConfig {
+                    seed,
+                    ..cfg.fabric.clone()
+                })?,
                 in_flight: Vec::new(),
                 dispatched: 0,
                 served: 0,
@@ -412,16 +657,20 @@ impl CimFleet {
             seeds,
             next_shard: 0,
             next_request: 0,
-            tel: Telemetry::new(TelemetryLevel::Metrics),
+            tel: (!lone).then(|| Telemetry::new(TelemetryLevel::Metrics)),
             obs: None,
         })
     }
 
     /// Attaches the observability pipeline to subsequent
-    /// [`CimFleet::run_open_loop`] calls. Empty
+    /// [`CimFleet::run_open_loop`] calls: windowed time-series sampled
+    /// on the config's cadence, per-tenant SLO burn-rate alerting (specs
+    /// derived from registered classes when the config leaves them
+    /// empty), and the series/alert exports on [`FleetReport`]. Empty
     /// [`cim_obs::ObsConfig::tracks`] default to
     /// [`cim_obs::TrackSpec::fleet_defaults`] scoped to this fleet's
-    /// device count.
+    /// device count, or to [`cim_obs::TrackSpec::serving_defaults`] on a
+    /// lone device.
     pub fn enable_observability(&mut self, cfg: cim_obs::ObsConfig) {
         self.obs = Some(cfg);
     }
@@ -449,6 +698,12 @@ impl CimFleet {
             .unwrap_or_default()
     }
 
+    /// The resident job of a class's first replica. `None` for
+    /// out-of-range indices.
+    pub(crate) fn class_job(&self, class: usize) -> Option<JobId> {
+        self.classes.get(class).map(|c| c.replicas[0].1)
+    }
+
     /// Registered class names, in registration order.
     pub fn class_names(&self) -> Vec<&str> {
         self.classes.iter().map(|c| c.name.as_str()).collect()
@@ -457,11 +712,13 @@ impl CimFleet {
     /// Registers a tenant class: loads its graph as a resident program
     /// on [`FleetConfig::replicas`] distinct devices (the replica set,
     /// anchored at a rotating shard cursor) and returns the class index.
+    /// `weight` is the class's share of the open-loop traffic mix.
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::CapacityExceeded`] if any replica cannot
-    /// be resident (the placements made so far are rolled back), or
+    /// be resident (residency is the point: serving never waits for
+    /// reprogramming; the placements made so far are rolled back), or
     /// propagates programming failures.
     pub fn register_class(
         &mut self,
@@ -522,37 +779,28 @@ impl CimFleet {
         }
     }
 
-    /// Live replicas of `class` at time `when` (devices not fenced by a
-    /// down interval), as indices into the class's replica list.
-    fn live_replicas(
-        &self,
-        class: usize,
-        when: SimTime,
-        downs: &[Vec<(SimTime, SimTime)>],
-    ) -> Vec<usize> {
-        self.classes[class]
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(d, _))| !down_at(&downs[d], when))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Routes one request to a replica index, or `None` if every
+    /// Routes one request to a live replica index, or `None` if every
     /// replica is fenced.
     fn route(
         &mut self,
         class: usize,
         id: u64,
         when: SimTime,
-        downs: &[Vec<(SimTime, SimTime)>],
+        outages: &[Vec<Outage>],
     ) -> Option<usize> {
-        let live = self.live_replicas(class, when, downs);
+        let replicas = &self.classes[class].replicas;
+        // A lone device has nothing to route between: like a single
+        // service, its queue is purged only at admission.
+        if self.lone() {
+            return (!down_at(&outages[0], when)).then_some(0);
+        }
+        let live: Vec<usize> = (0..replicas.len())
+            .filter(|&r| !down_at(&outages[replicas[r].0], when))
+            .collect();
         if live.is_empty() {
             return None;
         }
-        let k = self.classes[class].replicas.len();
+        let k = replicas.len();
         match self.cfg.routing {
             RoutingPolicy::RoundRobin => {
                 let want = (id as usize) % k;
@@ -579,54 +827,98 @@ impl CimFleet {
         }
     }
 
+    /// [`CimFleet::route`], or else the replica dark from a power loss
+    /// that restarts first: the request waits for it. `None` when every
+    /// replica is fenced with no known end.
+    fn pick(
+        &mut self,
+        class: usize,
+        id: u64,
+        when: SimTime,
+        outages: &[Vec<Outage>],
+    ) -> Option<usize> {
+        self.route(class, id, when, outages)
+            .or_else(|| self.first_restart(class, when, outages).map(|(_, r)| r))
+    }
+
+    /// `when`, or the earliest restart if no replica of `class` is live
+    /// at `when` and one is dark from a power loss.
+    fn restart_wait(&self, class: usize, when: SimTime, outages: &[Vec<Outage>]) -> SimTime {
+        let live = self.classes[class]
+            .replicas
+            .iter()
+            .any(|&(d, _)| !down_at(&outages[d], when));
+        match self.first_restart(class, when, outages) {
+            Some((restart, _)) if !live => restart,
+            _ => when,
+        }
+    }
+
+    /// The replica of `class` dark from a power loss at `when` that
+    /// restarts first, with its restart time.
+    fn first_restart(
+        &self,
+        class: usize,
+        when: SimTime,
+        outages: &[Vec<Outage>],
+    ) -> Option<(SimTime, usize)> {
+        let replicas = &self.classes[class].replicas;
+        (0..replicas.len())
+            .filter_map(|r| restart_at(&outages[replicas[r].0], when).map(|t| (t, r)))
+            .min()
+    }
+
+    /// Applies device `d`'s events due by `when`, exactly once each.
+    /// The crash of a due power loss is in the past (its outage already
+    /// fenced routing and voided straddled work); its recovery pass runs
+    /// now, before the next attempt touches state.
+    fn apply_due(&mut self, d: usize, when: SimTime, sched: &mut Schedule, sink: &Sink) {
+        while let Some(ev) = sched.events[d].get(sched.cursor[d]) {
+            if ev.at() > when {
+                break;
+            }
+            if let ServiceEvent::PowerLoss { .. } = ev {
+                let dev = &mut self.devices[d];
+                let pristine = dev.rt.power_cycle(self.cfg.service.restore_clears_volatile);
+                dev.crashes += 1;
+                sink.add_crash(d, "crashes");
+                if !pristine {
+                    dev.dirty_restores += 1;
+                    sink.add_crash(d, "dirty_restores");
+                }
+            } else if let Some(inj) = ev.to_injection() {
+                self.devices[d].rt.device_mut().apply_injection(&inj);
+            }
+            sched.cursor[d] += 1;
+        }
+    }
+
     /// One execution attempt on replica `r` of `class`, honouring the
-    /// device's scheduled down intervals: a result that would land
-    /// after the device dies is voided, not delivered.
-    #[allow(clippy::too_many_arguments)]
+    /// device's scheduled outages: a result that would land after the
+    /// device dies is voided, not delivered.
     fn attempt(
         &mut self,
         class: usize,
         r: usize,
         when: SimTime,
         input: &[f64],
-        downs: &[Vec<(SimTime, SimTime)>],
-        dev_events: &[Vec<ServiceEvent>],
-        dev_cursor: &mut [usize],
-        dev_comp: &[ComponentId],
+        sched: &mut Schedule,
+        sink: &Sink,
     ) -> Result<Attempt> {
         let (d, job) = self.classes[class].replicas[r];
         let src = self.classes[class].src;
-        self.tel.counter_add(dev_comp[d], "dispatched", 1);
-        // Apply this device's events that are due, exactly once.
-        while let Some(ev) = dev_events[d].get(dev_cursor[d]) {
-            if ev.at() > when {
-                break;
-            }
-            if let ServiceEvent::PowerLoss { .. } = ev {
-                // The crash is in the past (its down interval already
-                // fenced routing and voided straddled work); run the
-                // recovery pass now, before this attempt touches state.
-                let pristine = self.devices[d]
-                    .rt
-                    .power_cycle(self.cfg.service.restore_clears_volatile);
-                self.devices[d].crashes += 1;
-                self.tel.counter_add(dev_comp[d], "crashes", 1);
-                if !pristine {
-                    self.devices[d].dirty_restores += 1;
-                    self.tel.counter_add(dev_comp[d], "dirty_restores", 1);
-                }
-            } else if let Some(inj) = ev.to_injection() {
-                self.devices[d].rt.device_mut().apply_injection(&inj);
-            }
-            dev_cursor[d] += 1;
-        }
-        let opts = crate::engine::StreamOptions {
+        sink.add_dev(d, "dispatched");
+        self.apply_due(d, when, sched, sink);
+        // The still-future event tail rides into the engine so that an
+        // event falling inside this request's execution lands at its
+        // precise sim-time point (§V.A mid-item detection).
+        let opts = StreamOptions {
             start: when,
-            injections: dev_events[d][dev_cursor[d]..]
+            injections: sched.events[d][sched.cursor[d]..]
                 .iter()
                 .filter_map(ServiceEvent::to_injection)
                 .collect(),
-            ..crate::engine::StreamOptions::default()
+            ..StreamOptions::default()
         };
         self.devices[d].dispatched += 1;
         let item = HashMap::from([(src, input.to_vec())]);
@@ -638,8 +930,8 @@ impl CimFleet {
                 let finished = report.completed[0];
                 // Did the device die while this request was on it? The
                 // schedule is known up front, so the check covers every
-                // interval, not just ones already applied.
-                if let Some(died) = first_down_start_in(&downs[d], when, finished) {
+                // outage, not just ones already applied.
+                if let Some(died) = first_down_start_in(&sched.outages[d], when, finished) {
                     self.devices[d].voided += 1;
                     return Ok(Attempt::DeviceLost(died));
                 }
@@ -651,6 +943,9 @@ impl CimFleet {
                     output,
                 ))
             }
+            // Recoverable: the engine ran out of spares, or the mesh
+            // lost the route (a severed link partition) — in both cases
+            // a later attempt can succeed after a repair.
             Err(
                 FabricError::NoSpareAvailable { .. }
                 | FabricError::Noc(cim_noc::NocError::NoRoute { .. }),
@@ -659,103 +954,172 @@ impl CimFleet {
         }
     }
 
-    /// Serves an open-loop arrival stream of `n` requests at `rate_hz`
-    /// across the fleet. The arrival/class/input RNG streams match
-    /// [`crate::service::CimService::run_open_loop`] draw for draw, so a
-    /// fleet of one device sees the same workload a single service
-    /// does.
+    /// Dispatches one admitted request, first to replica `first`, with
+    /// whole-device failover and deadline-aware bounded retry. Returns
+    /// how the request left, and the replica it ended on.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch(
+        &mut self,
+        class: usize,
+        first: usize,
+        arrival: SimTime,
+        input: &[f64],
+        sched: &mut Schedule,
+        sink: &Sink,
+        failovers: &mut usize,
+    ) -> Result<(Exit, usize)> {
+        let deadline = arrival + self.classes[class].deadline;
+        let (base, max_attempts) = (self.cfg.service.backoff_base, self.cfg.service.max_attempts);
+        let id = self.next_request - 1;
+        let mut when = arrival;
+        let mut attempts = 0u32;
+        let mut replica = Some(first);
+        loop {
+            let Some(r) = replica else {
+                // Every replica fenced with no restart in sight: burn a
+                // retry waiting for a repair, like any recoverable fault.
+                attempts += 1;
+                if attempts >= max_attempts {
+                    return Ok((Exit::Exhausted { attempts }, first));
+                }
+                when += backoff_delay(base, attempts);
+                if when > deadline {
+                    return Ok((Exit::gave_up(when, attempts), first));
+                }
+                replica = self.pick(class, id, when, &sched.outages);
+                continue;
+            };
+            // A replica dark from a power loss serves again at its
+            // restart: no attempt can start while it is dark.
+            if let Some(restart) =
+                restart_at(&sched.outages[self.classes[class].replicas[r].0], when)
+            {
+                when = restart;
+            }
+            attempts += 1;
+            match self.attempt(class, r, when, input, sched, sink)? {
+                Attempt::Delivered(finished, recovered, output) => {
+                    let exit = Exit::Finished {
+                        finished,
+                        attempts,
+                        recovered,
+                        output,
+                    };
+                    return Ok((exit, r));
+                }
+                Attempt::DeviceLost(died) => {
+                    // Whole-device failover: the voided attempt never
+                    // counts, and the request re-dispatches after the
+                    // detection delay, or at the first restart when no
+                    // replica is live. Not charged against the retry
+                    // budget — the device died, the request did nothing
+                    // wrong — but the deadline, checked after that
+                    // wait, still applies.
+                    *failovers += 1;
+                    attempts -= 1;
+                    when = self.restart_wait(class, died + self.failover_detect(), &sched.outages);
+                    if when > deadline {
+                        return Ok((Exit::gave_up(when, attempts.max(1)), r));
+                    }
+                    replica = self.pick(class, id, when, &sched.outages);
+                }
+                Attempt::Recoverable => {
+                    if attempts >= max_attempts {
+                        return Ok((Exit::Exhausted { attempts }, r));
+                    }
+                    // Exponential backoff: 1×, 2×, 4×… the base gap.
+                    when += backoff_delay(base, attempts);
+                    if when > deadline {
+                        // The budget outlives the SLO; stop burning spares.
+                        return Ok((Exit::gave_up(when, attempts), r));
+                    }
+                    replica = self.pick(class, id, when, &sched.outages);
+                }
+            }
+        }
+    }
+
+    /// A fleet of one device: a single service (see the module docs).
+    fn lone(&self) -> bool {
+        self.devices.len() == 1
+    }
+
+    /// The router's detection delay; zero on a lone device.
+    fn failover_detect(&self) -> SimDuration {
+        if self.lone() {
+            SimDuration::ZERO
+        } else {
+            self.cfg.failover_detect
+        }
+    }
+
+    /// The metrics sink of one run (see [`Sink`]).
+    fn sink(&self) -> Sink {
+        match &self.tel {
+            None => {
+                let tel = self.devices[0].rt.device().telemetry().clone();
+                let run = tel.is_enabled().then(|| tel.component("service"));
+                Sink {
+                    tel,
+                    run,
+                    dev: Vec::new(),
+                }
+            }
+            Some(tel) => Sink {
+                tel: tel.clone(),
+                run: Some(tel.component("fleet")),
+                dev: (0..self.devices.len())
+                    .map(|i| tel.component(&format!("fleet/dev{i}")))
+                    .collect(),
+            },
+        }
+    }
+
+    /// Serves an open-loop Poisson-like arrival stream of `n` requests
+    /// at `rate_hz` offered requests per second, classes drawn from the
+    /// registered traffic weights. `events` is the fault/outage schedule,
+    /// applied in time order as the stream passes each event's time.
+    ///
+    /// Deterministic in the fleet's seed: bit-identical outcomes and
+    /// telemetry at every `CIM_THREADS` setting.
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::InvalidConfig`] for no classes, all-zero
-    /// weights, or an event naming a device outside the fleet;
-    /// propagates non-recoverable execution errors.
+    /// weights, a rate that is not finite and positive, or an event
+    /// naming a device outside the fleet; propagates non-recoverable
+    /// execution errors (recoverable faults become dispositions, not
+    /// errors).
     pub fn run_open_loop(
         &mut self,
         rate_hz: f64,
         n: usize,
         events: &[FleetEvent],
     ) -> Result<FleetReport> {
+        let invalid = |reason: String| Err(FabricError::InvalidConfig { reason });
         if self.classes.is_empty() {
-            return Err(FabricError::InvalidConfig {
-                reason: "no request class registered".into(),
-            });
+            return invalid("no request class registered".into());
         }
         let weights: Vec<u32> = self.classes.iter().map(|c| c.weight).collect();
         if weights.iter().all(|&w| w == 0) {
-            return Err(FabricError::InvalidConfig {
-                reason: "all class weights are zero".into(),
-            });
+            return invalid("all class weights are zero".into());
         }
-        assert!(rate_hz > 0.0, "offered rate must be positive");
-
-        let mut events = events.to_vec();
-        events.sort_by_key(FleetEvent::at);
+        if !(rate_hz.is_finite() && rate_hz > 0.0) {
+            return invalid(format!(
+                "offered rate {rate_hz} Hz must be finite and positive"
+            ));
+        }
         let n_devices = self.devices.len();
-        // Split the fleet schedule into its three consumers: down
-        // intervals per device (router fencing), device-local service
-        // events (engine injections), and front-door bursts.
-        let mut downs: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); n_devices];
-        let mut dev_events: Vec<Vec<ServiceEvent>> = vec![Vec::new(); n_devices];
-        let mut bursts: Vec<(SimTime, u16)> = Vec::new();
-        for ev in &events {
-            match *ev {
-                FleetEvent::DeviceDown { at, device } => {
-                    check_device(device, n_devices)?;
-                    // Ignore a down landing inside an existing outage,
-                    // or inside the detection window of the previous
-                    // down's start: the router has not yet re-admitted
-                    // the device, so a flap inside the window is one
-                    // outage, not two — fencing it twice would void
-                    // attempts that were never dispatched.
-                    let shadowed = down_at(&downs[device], at)
-                        || downs[device]
-                            .last()
-                            .is_some_and(|&(s, _)| at < s + self.cfg.failover_detect);
-                    if !shadowed {
-                        downs[device].push((at, SimTime::MAX));
-                    }
-                }
-                FleetEvent::DeviceUp { at, device } => {
-                    check_device(device, n_devices)?;
-                    // An up with no matching open down (the down was
-                    // shadowed, or never happened) is a no-op.
-                    if let Some(last) = downs[device].last_mut() {
-                        if last.1 == SimTime::MAX && last.0 <= at {
-                            last.1 = at;
-                        }
-                    }
-                }
-                FleetEvent::PowerLoss {
-                    at,
-                    device,
-                    restart_after,
-                } => {
-                    check_device(device, n_devices)?;
-                    // A crash while the device is already dark (or still
-                    // inside the detection window) kills nothing new:
-                    // full no-op, same shadowing rule as DeviceDown.
-                    let shadowed = down_at(&downs[device], at)
-                        || downs[device]
-                            .last()
-                            .is_some_and(|&(s, _)| at < s + self.cfg.failover_detect);
-                    if !shadowed {
-                        // Fence like an outage with a known end, and
-                        // queue the recovery pass on the device's event
-                        // feed so the power cycle applies exactly once,
-                        // before the next attempt touches state.
-                        downs[device].push((at, at + restart_after));
-                        dev_events[device].push(ServiceEvent::PowerLoss { at, restart_after });
-                    }
-                }
-                FleetEvent::Device { device, event } => {
-                    check_device(device, n_devices)?;
-                    dev_events[device].push(event);
-                }
-                FleetEvent::ArrivalBurst { at, extra } => bursts.push((at, extra)),
-            }
+        let mut sched = Schedule::new(events, n_devices, self.failover_detect())?;
+        for dev in &mut self.devices {
+            (dev.dispatched, dev.served, dev.voided) = (0, 0, 0);
+            (dev.crashes, dev.dirty_restores) = (0, 0);
         }
-        let mut dev_cursor = vec![0usize; n_devices];
+        // Arrival bursts are a front-door effect: once the open-loop
+        // clock passes a burst's time, its `extra` follow-on arrivals
+        // land at the same instant as the triggering arrival. The RNG is
+        // only consumed for non-burst arrivals, so schedules without
+        // bursts draw the exact same arrival sequence.
         let mut burst_idx = 0usize;
         let mut burst_left = 0u32;
 
@@ -763,14 +1127,10 @@ impl CimFleet {
         let mut class_rng = self.seeds.rng("classes");
         let mut input_rng = self.seeds.rng("inputs");
 
-        let tel = self.tel.clone();
-        let comp = tel.component("fleet");
-        let dev_comp: Vec<_> = (0..n_devices)
-            .map(|i| tel.component(&format!("fleet/dev{i}")))
-            .collect();
+        let sink = self.sink();
         let mut obs = self.obs.as_ref().map(|cfg| {
             let mut cfg = cfg.clone();
-            if cfg.tracks.is_empty() {
+            if cfg.tracks.is_empty() && !self.lone() {
                 cfg.tracks = cim_obs::TrackSpec::fleet_defaults(n_devices);
             }
             let tenants: Vec<(String, SimDuration)> = self
@@ -778,7 +1138,7 @@ impl CimFleet {
                 .iter()
                 .map(|c| (c.name.clone(), c.deadline))
                 .collect();
-            cim_obs::Observability::new(&cfg, &tenants, &tel)
+            cim_obs::Observability::new(&cfg, &tenants, &sink.tel)
         });
 
         let keep = self.cfg.keep_outcomes;
@@ -795,8 +1155,8 @@ impl CimFleet {
                 burst_left -= 1; // simultaneous with the previous arrival
             } else {
                 now += SimDuration::from_secs_f64(exponential(&mut arrivals_rng, rate_hz));
-                while burst_idx < bursts.len() && bursts[burst_idx].0 <= now {
-                    burst_left += u32::from(bursts[burst_idx].1);
+                while burst_idx < sched.bursts.len() && sched.bursts[burst_idx].0 <= now {
+                    burst_left += u32::from(sched.bursts[burst_idx].1);
                     burst_idx += 1;
                 }
             }
@@ -807,54 +1167,53 @@ impl CimFleet {
             let id = self.next_request;
             self.next_request += 1;
             arrivals.push((now, class));
-            tel.counter_add(comp, "offered", 1);
+            // Counters are bumped as each disposition lands (not batched
+            // after the run) so the time-series recorder sees live
+            // values.
+            sink.add("offered", 1);
 
-            // Admission: route to a live replica and check its queue.
-            // Both "every replica is down" and "the routed queue is
-            // full" shed — fail fast at the front door rather than
-            // letting doomed work occupy the fleet.
-            let routed = self.route(class, id, now, &downs).and_then(|r| {
-                let d = self.classes[class].replicas[r].0;
-                self.devices[d].in_flight.retain(|&dep| dep > now);
-                (self.devices[d].in_flight.len() < self.cfg.service.queue_capacity).then_some(r)
+            // Admission: route to a replica and check its queue. "No
+            // replica to route to" and "the routed queue is full" both
+            // shed — fail fast at the front door rather than letting
+            // doomed work occupy the fleet.
+            let capacity = self.cfg.service.queue_capacity;
+            let routed = self.pick(class, id, now, &sched.outages).filter(|&r| {
+                let dev = &mut self.devices[self.classes[class].replicas[r].0];
+                dev.in_flight.retain(|&dep| dep > now);
+                dev.in_flight.len() < capacity
             });
             let disposition = match routed {
                 None => {
                     shed += 1;
-                    tel.counter_add(comp, "shed", 1);
+                    sink.add("shed", 1);
                     Disposition::Shed
                 }
                 Some(r) => {
                     admitted += 1;
-                    tel.counter_add(comp, "admitted", 1);
-                    match self.dispatch(
-                        class,
-                        r,
-                        now,
-                        &input,
-                        &downs,
-                        &dev_events,
-                        &mut dev_cursor,
-                        &dev_comp,
-                        &mut failovers,
-                    ) {
-                        Ok((finished, attempts, recovered, output, final_r)) => {
+                    sink.add("admitted", 1);
+                    let (exit, r) =
+                        self.dispatch(class, r, now, &input, &mut sched, &sink, &mut failovers)?;
+                    let d = self.classes[class].replicas[r].0;
+                    match exit {
+                        Exit::Finished {
+                            finished,
+                            attempts,
+                            recovered,
+                            output,
+                        } => {
                             retries += (attempts - 1) as usize;
-                            if recovered {
-                                recoveries += 1;
-                            }
-                            tel.counter_add(comp, "retries", u64::from(attempts - 1));
-                            tel.counter_add(comp, "recoveries", u64::from(recovered));
-                            let d = self.classes[class].replicas[final_r].0;
+                            recoveries += usize::from(recovered);
+                            sink.add("retries", u64::from(attempts - 1));
+                            sink.add("recoveries", u64::from(recovered));
                             self.devices[d].in_flight.push(finished);
                             self.devices[d].served += 1;
-                            tel.counter_add(dev_comp[d], "served", 1);
+                            sink.add_dev(d, "served");
                             let lat = finished.saturating_since(now);
-                            tel.record(comp, "latency_ns", lat.as_ps() / 1000);
+                            sink.record("latency_ns", lat.as_ps() / 1000);
                             latencies.record(lat.as_us_f64());
                             if lat <= self.classes[class].deadline && !output.is_empty() {
                                 completed += 1;
-                                tel.counter_add(comp, "completed", 1);
+                                sink.add("completed", 1);
                                 Disposition::Completed {
                                     finished,
                                     attempts,
@@ -863,31 +1222,28 @@ impl CimFleet {
                                 }
                             } else {
                                 timed_out += 1;
-                                tel.counter_add(comp, "timed_out", 1);
+                                sink.add("timed_out", 1);
                                 Disposition::TimedOut { finished, attempts }
                             }
                         }
-                        Err(FabricError::RetriesExhausted { attempts }) => {
+                        Exit::Exhausted { attempts } => {
                             retries += (attempts - 1) as usize;
                             failed += 1;
-                            tel.counter_add(comp, "retries", u64::from(attempts - 1));
-                            tel.counter_add(comp, "failed", 1);
+                            sink.add("retries", u64::from(attempts - 1));
+                            sink.add("failed", 1);
+                            // Leaves at its arrival: it holds no queue
+                            // slot past this instant.
+                            self.devices[d].in_flight.push(now);
                             Disposition::Failed { attempts }
                         }
-                        Err(e) => return Err(e),
                     }
                 }
             };
-            tel.gauge_set(
-                comp,
-                "queue_depth",
-                self.devices
-                    .iter()
-                    .map(|d| d.in_flight.len())
-                    .sum::<usize>() as f64,
-            );
-            for (i, dev) in self.devices.iter().enumerate() {
-                tel.gauge_set(dev_comp[i], "in_flight", dev.in_flight.len() as f64);
+            let depth: usize = self.devices.iter().map(|d| d.in_flight.len()).sum();
+            sink.gauge("queue_depth", depth as f64);
+            for (dev, &c) in self.devices.iter().zip(&sink.dev) {
+                sink.tel
+                    .gauge_set(c, "in_flight", dev.in_flight.len() as f64);
             }
             if let Some(o) = obs.as_mut() {
                 let (at, observed) = match &disposition {
@@ -904,7 +1260,9 @@ impl CimFleet {
                     Disposition::Failed { .. } => (now, cim_obs::Observed::Failed),
                 };
                 o.observe_request(class, at, observed);
-                tel.with_registry(|r| o.sample_to(now, r));
+                // Sampling rides the monotone arrival clock; finish times
+                // may run slightly ahead but the tick grid stays regular.
+                sink.tel.with_registry(|r| o.sample_to(now, r));
             }
             // Fingerprint every outcome, storage or not.
             fnv.write_u64(id);
@@ -956,9 +1314,11 @@ impl CimFleet {
             },
             None => LatencyStats::default(),
         };
-        tel.counter_add(comp, "failovers", failovers as u64);
-        tel.gauge_set(comp, "p99_us", latency.p99_us);
-        tel.gauge_set(comp, "goodput", completed as f64 / n.max(1) as f64);
+        if !self.lone() {
+            sink.add("failovers", failovers as u64);
+        }
+        sink.gauge("p99_us", latency.p99_us);
+        sink.gauge("goodput", completed as f64 / n.max(1) as f64);
 
         let per_device: Vec<DeviceLoad> = self
             .devices
@@ -976,7 +1336,10 @@ impl CimFleet {
 
         let (alerts, series_jsonl) = match obs {
             Some(mut o) => {
-                tel.with_registry(|r| o.finalize(now, r));
+                sink.tel.with_registry(|r| o.finalize(now, r));
+                // The analytic tier records no event-by-event registry
+                // evolution; hand the operating point to `finish` so the
+                // report still carries series-shaped signals.
                 let qm = cim_sim::analytic::QueueModel::new(
                     rate_hz,
                     SimDuration::from_ns_f64(latency.mean_us * 1_000.0),
@@ -1011,78 +1374,6 @@ impl CimFleet {
             series_jsonl,
         })
     }
-
-    /// Dispatches one admitted request with whole-device failover and
-    /// deadline-aware bounded retry. Returns
-    /// `(finished, attempts, recovered, output, final_replica)`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        class: usize,
-        first: usize,
-        arrival: SimTime,
-        input: &[f64],
-        downs: &[Vec<(SimTime, SimTime)>],
-        dev_events: &[Vec<ServiceEvent>],
-        dev_cursor: &mut [usize],
-        dev_comp: &[ComponentId],
-        failovers: &mut usize,
-    ) -> Result<(SimTime, u32, bool, Vec<f64>, usize)> {
-        let deadline = arrival + self.classes[class].deadline;
-        let id = self.next_request - 1;
-        let mut when = arrival;
-        let mut attempts = 0u32;
-        let mut replica = Some(first);
-        loop {
-            let Some(r) = replica else {
-                // Every replica fenced right now: burn a retry waiting
-                // for a repair, like any other recoverable fault.
-                attempts += 1;
-                if attempts >= self.cfg.service.max_attempts {
-                    return Err(FabricError::RetriesExhausted { attempts });
-                }
-                when += backoff_delay(self.cfg.service.backoff_base, attempts);
-                if when > deadline {
-                    return Ok((when, attempts, false, Vec::new(), first));
-                }
-                replica = self.route(class, id, when, downs);
-                continue;
-            };
-            attempts += 1;
-            match self.attempt(
-                class, r, when, input, downs, dev_events, dev_cursor, dev_comp,
-            )? {
-                Attempt::Delivered(finished, recovered, output) => {
-                    return Ok((finished, attempts, recovered, output, r));
-                }
-                Attempt::DeviceLost(died) => {
-                    // Whole-device failover: the voided attempt never
-                    // counts; after the detection delay the router
-                    // re-dispatches to a surviving replica. Not charged
-                    // against the retry budget — the device died, the
-                    // request did nothing wrong — but the deadline
-                    // still applies.
-                    *failovers += 1;
-                    attempts -= 1;
-                    when = died + self.cfg.failover_detect;
-                    if when > deadline {
-                        return Ok((when, attempts.max(1), false, Vec::new(), r));
-                    }
-                    replica = self.route(class, id, when, downs);
-                }
-                Attempt::Recoverable => {
-                    if attempts >= self.cfg.service.max_attempts {
-                        return Err(FabricError::RetriesExhausted { attempts });
-                    }
-                    when += backoff_delay(self.cfg.service.backoff_base, attempts);
-                    if when > deadline {
-                        return Ok((when, attempts, false, Vec::new(), r));
-                    }
-                    replica = self.route(class, id, when, downs);
-                }
-            }
-        }
-    }
 }
 
 fn check_device(device: usize, n: usize) -> Result<()> {
@@ -1094,21 +1385,25 @@ fn check_device(device: usize, n: usize) -> Result<()> {
     Ok(())
 }
 
-/// Whether `t` falls inside any `[start, end)` down interval.
-fn down_at(downs: &[(SimTime, SimTime)], t: SimTime) -> bool {
-    downs.iter().any(|&(s, e)| s <= t && t < e)
+/// Whether `t` falls inside any outage.
+fn down_at(outages: &[Outage], t: SimTime) -> bool {
+    outages.iter().any(|o| o.start <= t && t < o.end)
 }
 
-/// The earliest down interval starting in `(after, until]`, if any — a
-/// request executing over that window loses its device.
-fn first_down_start_in(
-    downs: &[(SimTime, SimTime)],
-    after: SimTime,
-    until: SimTime,
-) -> Option<SimTime> {
-    downs
+/// The restart of the power loss `t` falls inside, if any.
+fn restart_at(outages: &[Outage], t: SimTime) -> Option<SimTime> {
+    outages
         .iter()
-        .map(|&(s, _)| s)
+        .find(|o| o.power_loss && o.start <= t && t < o.end)
+        .map(|o| o.end)
+}
+
+/// The earliest outage starting in `(after, until]`, if any — a request
+/// executing over that window loses its device.
+fn first_down_start_in(outages: &[Outage], after: SimTime, until: SimTime) -> Option<SimTime> {
+    outages
+        .iter()
+        .map(|o| o.start)
         .filter(|&s| after < s && s <= until)
         .min()
 }
@@ -1410,5 +1705,71 @@ mod tests {
             cim_sim::telemetry::validate_jsonl_line(line).expect("series schema");
         }
         assert!(r.alerts.is_empty(), "healthy fleet fires no alerts");
+    }
+
+    #[test]
+    fn accounting_resets_between_runs() {
+        // Regression: per-device counters used to accumulate across
+        // runs, so a second run reported twice the served executions.
+        let mut f = fleet(4, 2);
+        let events = [
+            FleetEvent::PowerLoss {
+                at: SimTime::from_ns(2_000_000),
+                device: 0,
+                restart_after: SimDuration::from_us(20),
+            },
+            FleetEvent::DeviceDown {
+                at: SimTime::from_ns(3_000_000),
+                device: 1,
+            },
+            FleetEvent::DeviceUp {
+                at: SimTime::from_ns(6_000_000),
+                device: 1,
+            },
+        ];
+        let first = f.run_open_loop(10_000.0, 100, &events).expect("serves");
+        let second = f.run_open_loop(10_000.0, 100, &events).expect("serves");
+        for r in [&first, &second] {
+            assert_eq!(
+                r.served_total() as usize,
+                r.completed + r.timed_out,
+                "{r:?}"
+            );
+            assert_eq!(r.voided_total() as usize, r.failovers, "{r:?}");
+        }
+        assert_eq!(second.crashes, first.crashes, "crashes are per run");
+    }
+
+    #[test]
+    fn bad_rates_and_budgets_are_typed_errors() {
+        let mut f = fleet(2, 1);
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    f.run_open_loop(rate, 1, &[]),
+                    Err(FabricError::InvalidConfig { .. })
+                ),
+                "rate {rate} must be rejected"
+            );
+        }
+        for service in [
+            ServiceConfig {
+                max_attempts: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                queue_capacity: 0,
+                ..ServiceConfig::default()
+            },
+        ] {
+            let cfg = FleetConfig {
+                service,
+                ..small_fleet_config(2, 1)
+            };
+            assert!(matches!(
+                CimFleet::new(cfg, SeedTree::new(1)),
+                Err(FabricError::InvalidConfig { .. })
+            ));
+        }
     }
 }

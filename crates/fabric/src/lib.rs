@@ -100,7 +100,6 @@ pub use security::{fence_tile, CapabilityTable};
 pub use self_prog::{apply_patch, deliver_and_apply, encode_patch_packet, PatchOutcome};
 pub use service::{
     CimService, Disposition, LatencyStats, RequestOutcome, ServiceConfig, ServiceEvent,
-    ServiceReport,
 };
 pub use serviceability::{ServiceAction, ServiceabilityMonitor, UnitServiceReport};
 pub use unit::{MicroUnit, UnitHealth};

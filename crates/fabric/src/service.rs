@@ -1,16 +1,22 @@
-//! Request serving: admission control, deadlines and retry (§III.E, §V.A).
+//! Request serving on one device: a single service is a one-device
+//! fleet (§III.E, §V.A).
 //!
 //! The paper's deployment story starts with CIM parts attached "as slave
-//! devices" that a host hands work to. This module is that front door:
-//! a [`CimService`] keeps one resident program per tenant class on the
-//! device (stationary weights), admits an open-loop arrival stream
-//! against a bounded queue, sheds load once the queue is full, enforces
-//! per-request deadlines, and retries recoverable faults with bounded
-//! exponential backoff — riding on the engine's §V.A mid-stream spare
-//! recovery for faults that surface while a request is executing.
+//! devices" that a host hands work to. A [`CimService`] is that front
+//! door for one device: a [`CimFleet`] of one device and one replica,
+//! so it shares the fleet's one request path — admission against a
+//! bounded queue, load shedding, per-request deadlines, bounded
+//! exponential-backoff retry of recoverable faults on top of the
+//! engine's §V.A mid-stream spare recovery, and power-loss recovery.
+//! With one device there is no router: the device keeps the template
+//! seed, a crash re-dispatches the attempt it voided at the restart
+//! with no detection delay, and arrivals while the device is dark wait
+//! for the restart. Metrics land on the device's own telemetry under
+//! `service/*`.
 //!
-//! Everything runs in simulated time on the in-tree RNG, so a serving
-//! sweep is bit-identical at every `CIM_THREADS` setting.
+//! This module also holds the request vocabulary the fleet speaks:
+//! [`ServiceConfig`], [`ServiceEvent`], [`Disposition`],
+//! [`RequestOutcome`] and [`LatencyStats`].
 //!
 //! ```text
 //! arrivals ──► admission (queue bound) ──► dispatch ──► engine
@@ -19,16 +25,15 @@
 //!                shed                  backoff + retry   §V.A recovery
 //! ```
 
-use crate::engine::{Injection, InjectionKind, StreamOptions};
-use crate::error::{FabricError, Result};
+use crate::config::FabricConfig;
+use crate::engine::{Injection, InjectionKind};
+use crate::error::Result;
+use crate::fleet::{CimFleet, FleetConfig, FleetEvent, FleetReport};
 use crate::mapper::MappingPolicy;
-use crate::runtime::{CimRuntime, JobId, JobStatus};
+use crate::runtime::{CimRuntime, JobId};
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
-use cim_sim::rng::{exponential, Rng};
-use cim_sim::stats::Samples;
 use cim_sim::time::{SimDuration, SimTime};
 use cim_sim::SeedTree;
-use std::collections::HashMap;
 
 /// Serving-policy knobs.
 #[derive(Debug, Clone)]
@@ -39,7 +44,7 @@ pub struct ServiceConfig {
     /// Total attempts per request, including the first (≥ 1).
     pub max_attempts: u32,
     /// Backoff before retry `k` is `backoff_base · 2^min(k-1, 32)` —
-    /// exponential, saturating at the cap (see [`backoff_delay`]).
+    /// exponential, saturating at the cap.
     pub backoff_base: SimDuration,
     /// Placement policy for resident class programs.
     pub mapping: MappingPolicy,
@@ -62,20 +67,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Backoff before the next attempt after `attempts` attempts have been
-/// made: `base · 2^(attempts-1)`, with the exponent saturated at 32 so
-/// attempt counts near 64 (or beyond) cap the delay instead of
-/// overflowing the shift. Monotone non-decreasing in `attempts`, then
-/// constant at the cap. Shared by the service and fleet retry paths.
-pub(crate) fn backoff_delay(base: SimDuration, attempts: u32) -> SimDuration {
-    base * (1u64 << attempts.saturating_sub(1).min(32))
-}
-
 /// A scheduled serviceability event applied while the stream runs.
 ///
 /// Events due between dispatches are applied exactly once by the
-/// service's own cursor; the still-future tail is additionally handed
-/// to the engine as [`StreamOptions::injections`], so an event whose
+/// device's event cursor; the still-future tail is additionally handed
+/// to the engine as [`crate::engine::StreamOptions::injections`], so an event whose
 /// time falls *inside* a request's execution lands at that precise
 /// sim-time point instead of waiting for the next dispatch boundary.
 /// Because both layers may see the same event, applications must
@@ -149,7 +145,7 @@ impl ServiceEvent {
     /// The engine-level injection this event maps to; `None` for
     /// service-layer-only events ([`ServiceEvent::ArrivalBurst`],
     /// [`ServiceEvent::PowerLoss`] — a crash never rides into the
-    /// engine; the service voids the straddled attempt instead).
+    /// engine; the straddled attempt is voided instead).
     pub fn to_injection(&self) -> Option<Injection> {
         match *self {
             ServiceEvent::FailUnit { at, unit } => Some(Injection {
@@ -225,108 +221,8 @@ pub struct LatencyStats {
     pub max_us: f64,
 }
 
-/// SLO accounting for one open-loop serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceReport {
-    /// Per-request outcomes, in arrival order.
-    pub outcomes: Vec<RequestOutcome>,
-    /// Requests offered by the arrival process.
-    pub offered: usize,
-    /// Requests that passed admission.
-    pub admitted: usize,
-    /// Requests shed at admission (queue full).
-    pub shed: usize,
-    /// Requests completed within deadline.
-    pub completed: usize,
-    /// Requests that finished or gave up past deadline.
-    pub timed_out: usize,
-    /// Requests whose retry budget ran out.
-    pub failed: usize,
-    /// §V.A mid-stream recoveries observed under successful attempts.
-    pub recoveries: usize,
-    /// Retry attempts beyond each request's first.
-    pub retries: usize,
-    /// Power-loss crashes the device survived during the run.
-    pub crashes: usize,
-    /// Crashes whose restore left non-pristine volatile state. Always 0
-    /// under the shipped recovery pass; nonzero only when
-    /// [`ServiceConfig::restore_clears_volatile`] is deliberately
-    /// weakened — the detectable half of the recovery contract.
-    pub dirty_restores: usize,
-    /// Latency distribution of requests that ran to completion.
-    pub latency: LatencyStats,
-    /// SLO alert timeline from the observability pipeline, in firing
-    /// order (empty unless [`CimService::enable_observability`] was
-    /// called).
-    pub alerts: Vec<cim_obs::AlertEvent>,
-    /// `kind:"series"` JSON-lines export of the windowed time-series
-    /// (empty unless observability is enabled; analytic-mode runs carry
-    /// the coarse series synthesized from the queue operating point).
-    pub series_jsonl: String,
-}
-
-impl ServiceReport {
-    /// No request was lost: every admitted request either completed or
-    /// is accounted as a deliberate SLO miss — none vanished or failed.
-    pub fn zero_lost(&self) -> bool {
-        self.failed == 0 && self.completed + self.timed_out == self.admitted
-    }
-
-    /// Goodput: fraction of offered requests completed within deadline.
-    pub fn goodput(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.offered as f64
-    }
-
-    /// The analytic tier's queueing view of this run: an M/D/1-style
-    /// model built from the offered arrival rate and the observed mean
-    /// service time of requests that ran to completion. Use it to ask
-    /// closed-form questions — is this operating point stable, what
-    /// wait does the queue add — without re-running the stream;
-    /// `analytic_check` cross-validates it against full runs.
-    pub fn queue_model(&self, rate_hz: f64) -> cim_sim::analytic::QueueModel {
-        cim_sim::analytic::QueueModel::new(
-            rate_hz,
-            SimDuration::from_ns_f64(self.latency.mean_us * 1_000.0),
-        )
-    }
-}
-
-/// Draws an index from `weights` proportionally to each entry, consuming
-/// exactly one `gen_range` from the RNG. Shared by the service and fleet
-/// front doors so their class mixes stay draw-for-draw identical.
-///
-/// # Panics
-///
-/// Panics (in `gen_range`) if every weight is zero; callers validate.
-pub(crate) fn weighted_pick(rng: &mut impl Rng, weights: &[u32]) -> usize {
-    let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-    let mut pick = rng.gen_range(0..total);
-    let mut idx = weights.len() - 1;
-    for (i, &w) in weights.iter().enumerate() {
-        let w = u64::from(w);
-        if pick < w {
-            idx = i;
-            break;
-        }
-        pick -= w;
-    }
-    idx
-}
-
-struct ServiceClass {
-    name: String,
-    job: JobId,
-    src: NodeRef,
-    sink: NodeRef,
-    input_width: usize,
-    deadline: SimDuration,
-    weight: u32,
-}
-
-/// The request-serving front-end over a [`CimRuntime`].
+/// The request-serving front door over one [`CimRuntime`]: a
+/// [`CimFleet`] of one device and one replica.
 ///
 /// # Examples
 ///
@@ -355,29 +251,9 @@ struct ServiceClass {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Debug)]
 pub struct CimService {
-    rt: CimRuntime,
-    cfg: ServiceConfig,
-    classes: Vec<ServiceClass>,
-    seeds: SeedTree,
-    /// Departure times of admitted-but-unfinished requests.
-    in_flight: Vec<SimTime>,
-    next_request: u64,
-    /// Power-loss crashes applied during the current run.
-    crashes: usize,
-    /// Crashes whose restore reported non-pristine volatile state.
-    dirty_restores: usize,
-    /// Observability pipeline config; `None` keeps the run unobserved.
-    obs: Option<cim_obs::ObsConfig>,
-}
-
-impl std::fmt::Debug for CimService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CimService")
-            .field("classes", &self.classes.len())
-            .field("config", &self.cfg)
-            .finish_non_exhaustive()
-    }
+    fleet: CimFleet,
 }
 
 impl CimService {
@@ -385,67 +261,56 @@ impl CimService {
     ///
     /// # Errors
     ///
-    /// Propagates device-construction failures.
-    pub fn new(
-        fabric: crate::config::FabricConfig,
-        cfg: ServiceConfig,
-        seeds: SeedTree,
-    ) -> Result<Self> {
-        assert!(cfg.max_attempts >= 1, "need at least one attempt");
-        assert!(cfg.queue_capacity >= 1, "queue capacity must be positive");
+    /// Returns [`crate::FabricError::InvalidConfig`] for zero attempts
+    /// per request or a zero queue capacity; propagates
+    /// device-construction failures.
+    pub fn new(fabric: FabricConfig, cfg: ServiceConfig, seeds: SeedTree) -> Result<Self> {
+        let cfg = FleetConfig {
+            devices: 1,
+            replicas: 1,
+            fabric,
+            service: cfg,
+            ..FleetConfig::default()
+        };
         Ok(CimService {
-            rt: CimRuntime::new(fabric)?,
-            cfg,
-            classes: Vec::new(),
-            seeds,
-            in_flight: Vec::new(),
-            next_request: 0,
-            crashes: 0,
-            dirty_restores: 0,
-            obs: None,
+            fleet: CimFleet::new(cfg, seeds)?,
         })
     }
 
     /// Attaches the observability pipeline to subsequent
-    /// [`CimService::run_open_loop`] calls: windowed time-series sampled
-    /// on the config's cadence, per-tenant SLO burn-rate alerting (specs
-    /// derived from registered classes when the config leaves them
-    /// empty), and the series/alert exports on [`ServiceReport`].
+    /// [`CimService::run_open_loop`] calls (see
+    /// [`CimFleet::enable_observability`]).
     pub fn enable_observability(&mut self, cfg: cim_obs::ObsConfig) {
-        self.obs = Some(cfg);
+        self.fleet.enable_observability(cfg);
     }
 
     /// The underlying runtime (telemetry, fault injection, placement).
     pub fn runtime(&self) -> &CimRuntime {
-        &self.rt
+        self.fleet.runtime(0)
     }
 
     /// The underlying runtime, mutable.
     pub fn runtime_mut(&mut self) -> &mut CimRuntime {
-        &mut self.rt
+        self.fleet.runtime_mut(0)
     }
 
     /// Registered class names, in registration order.
     pub fn class_names(&self) -> Vec<&str> {
-        self.classes.iter().map(|c| c.name.as_str()).collect()
+        self.fleet.class_names()
     }
 
     /// The resident job serving a class (placement inspection / fault
     /// targeting). `None` for out-of-range indices.
     pub fn class_job(&self, class: usize) -> Option<JobId> {
-        self.classes.get(class).map(|c| c.job)
+        self.fleet.class_job(class)
     }
 
-    /// Registers a tenant class: loads its graph as a *resident* program
-    /// and returns the class index. `weight` is the class's share of the
-    /// open-loop traffic mix.
+    /// Registers a tenant class as a resident program (see
+    /// [`CimFleet::register_class`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::CapacityExceeded`] if the graph cannot be
-    /// resident alongside the already-registered classes (residency is
-    /// the point: serving never waits for reprogramming), or propagates
-    /// programming failures.
+    /// As [`CimFleet::register_class`].
     pub fn register_class(
         &mut self,
         name: &str,
@@ -455,426 +320,45 @@ impl CimService {
         deadline: SimDuration,
         weight: u32,
     ) -> Result<usize> {
-        let input_width = graph.node(src).op.output_width();
-        let nodes = graph.node_count();
-        let free = self.rt.free_units();
-        let status = self.rt.submit(graph, self.cfg.mapping)?;
-        let job = match status {
-            JobStatus::Running(id) => id,
-            // Resident or bust: a queued class could never serve.
-            JobStatus::Queued(_) => {
-                return Err(FabricError::CapacityExceeded {
-                    needed: nodes,
-                    available: free,
-                });
-            }
-        };
-        self.classes.push(ServiceClass {
-            name: name.to_string(),
-            job,
-            src,
-            sink,
-            input_width,
-            deadline,
-            weight,
-        });
-        Ok(self.classes.len() - 1)
+        self.fleet
+            .register_class(name, graph, src, sink, deadline, weight)
     }
 
-    /// Admission control: purges departed requests and checks the queue
-    /// bound at `arrival`.
+    /// Serves an open-loop stream under a service-level event schedule
+    /// (see [`CimFleet::run_open_loop`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::QueueFull`] when the request must be shed.
-    fn try_admit(&mut self, arrival: SimTime) -> Result<()> {
-        self.in_flight.retain(|&dep| dep > arrival);
-        if self.in_flight.len() >= self.cfg.queue_capacity {
-            return Err(FabricError::QueueFull {
-                capacity: self.cfg.queue_capacity,
-            });
-        }
-        Ok(())
-    }
-
-    /// Dispatches one admitted request with deadline-aware bounded
-    /// retry. Returns `(finished, attempts, recovered, output)`.
-    ///
-    /// # Errors
-    ///
-    /// [`FabricError::RetriesExhausted`] when every attempt hit a
-    /// recoverable fault; recoverable means the engine ran out of
-    /// spares ([`FabricError::NoSpareAvailable`]) or the mesh lost the
-    /// route ([`cim_noc::NocError::NoRoute`] — a severed link partition)
-    /// — in both cases a later attempt can succeed after a repair.
-    /// Other execution errors propagate.
-    fn dispatch(
-        &mut self,
-        class: usize,
-        arrival: SimTime,
-        input: Vec<f64>,
-        events: &[ServiceEvent],
-        next_event: &mut usize,
-        outages: &[(SimTime, SimTime)],
-    ) -> Result<(SimTime, u32, bool, Vec<f64>)> {
-        let deadline = arrival + self.classes[class].deadline;
-        let job = self.classes[class].job;
-        let src = self.classes[class].src;
-        let sink = self.classes[class].sink;
-        let mut when = arrival;
-        let mut attempts = 0u32;
-        loop {
-            // A power outage blacks the device out for its whole
-            // `[start, end)` window: no attempt can start while it is
-            // dark, so dispatch waits for the restart.
-            if let Some(&(_, end)) = outages.iter().find(|&&(s, e)| s <= when && when < e) {
-                when = end;
-            }
-            attempts += 1;
-            self.apply_events_until(events, next_event, when);
-            // The still-future event tail rides into the engine so that
-            // an event falling inside this request's execution lands at
-            // its precise sim-time point (§V.A mid-item detection).
-            let opts = StreamOptions {
-                start: when,
-                injections: events[*next_event..]
-                    .iter()
-                    .filter_map(ServiceEvent::to_injection)
-                    .collect(),
-                ..StreamOptions::default()
-            };
-            let item = HashMap::from([(src, input.clone())]);
-            match self.rt.run(job, std::slice::from_ref(&item), &opts) {
-                Ok(report) => {
-                    let finished = report.completed[0];
-                    // A crash inside the execution window voids the
-                    // attempt exactly like fleet failover: the result is
-                    // lost with the device's volatile state, and the
-                    // request re-dispatches after the restart without
-                    // burning retry budget (no double execution: the
-                    // voided result is never surfaced).
-                    if let Some(&(_, end)) =
-                        outages.iter().find(|&&(s, _)| when < s && s <= finished)
-                    {
-                        attempts -= 1;
-                        when = end;
-                        if when > deadline {
-                            return Ok((when, attempts.max(1), false, Vec::new()));
-                        }
-                        continue;
-                    }
-                    let output = report.outputs[0][&sink].clone();
-                    return Ok((finished, attempts, !report.recoveries.is_empty(), output));
-                }
-                Err(
-                    FabricError::NoSpareAvailable { .. }
-                    | FabricError::Noc(cim_noc::NocError::NoRoute { .. }),
-                ) => {
-                    if attempts >= self.cfg.max_attempts {
-                        return Err(FabricError::RetriesExhausted { attempts });
-                    }
-                    // Exponential backoff: 1×, 2×, 4×… the base gap,
-                    // saturating so huge attempt budgets cannot overflow.
-                    when += backoff_delay(self.cfg.backoff_base, attempts);
-                    if when > deadline {
-                        // The budget outlives the SLO; stop burning spares.
-                        return Ok((when, attempts, false, Vec::new()));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn apply_events_until(&mut self, events: &[ServiceEvent], next: &mut usize, now: SimTime) {
-        while let Some(ev) = events.get(*next) {
-            if ev.at() > now {
-                break;
-            }
-            if let ServiceEvent::PowerLoss { .. } = ev {
-                // The crash happened in the past (the outage window
-                // already fenced dispatch); apply the recovery pass now,
-                // exactly once, before the next attempt touches state.
-                let pristine = self.rt.power_cycle(self.cfg.restore_clears_volatile);
-                self.crashes += 1;
-                if !pristine {
-                    self.dirty_restores += 1;
-                }
-                let tel = self.rt.device().telemetry().clone();
-                if tel.is_enabled() {
-                    let c = tel.component("service");
-                    tel.counter_add(c, "crashes", 1);
-                    if !pristine {
-                        tel.counter_add(c, "dirty_restores", 1);
-                    }
-                }
-            } else if let Some(inj) = ev.to_injection() {
-                self.rt.device_mut().apply_injection(&inj);
-            }
-            *next += 1;
-        }
-    }
-
-    /// Serves an open-loop Poisson-like arrival stream of `n` requests
-    /// at `rate_hz` offered requests per second, classes drawn from the
-    /// registered traffic weights. `events` is a fault/repair schedule
-    /// (applied in time order as the stream passes each event's time).
-    ///
-    /// Deterministic in the service's seed: bit-identical outcomes and
-    /// telemetry at every `CIM_THREADS` setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::InvalidConfig`] if no class is registered
-    /// or all weights are zero; propagates non-recoverable execution
-    /// errors (recoverable faults become dispositions, not errors).
+    /// As [`CimFleet::run_open_loop`].
     pub fn run_open_loop(
         &mut self,
         rate_hz: f64,
         n: usize,
         events: &[ServiceEvent],
-    ) -> Result<ServiceReport> {
-        if self.classes.is_empty() {
-            return Err(FabricError::InvalidConfig {
-                reason: "no request class registered".into(),
-            });
-        }
-        let class_weights: Vec<u32> = self.classes.iter().map(|c| c.weight).collect();
-        let total_weight: u64 = class_weights.iter().map(|&w| u64::from(w)).sum();
-        if total_weight == 0 {
-            return Err(FabricError::InvalidConfig {
-                reason: "all class weights are zero".into(),
-            });
-        }
-        assert!(rate_hz > 0.0, "offered rate must be positive");
-        let mut events = events.to_vec();
-        events.sort_by_key(ServiceEvent::at);
-        // Power-loss outages: the device is dark from each crash until
-        // its restart completes. A crash landing while the device is
-        // already dark is a no-op (there is nothing left to kill), so it
-        // is dropped from the schedule entirely — the outage list and
-        // the power-cycle cursor stay consistent.
-        let mut outages: Vec<(SimTime, SimTime)> = Vec::new();
-        events.retain(|e| match *e {
-            ServiceEvent::PowerLoss { at, restart_after } => {
-                if outages.last().is_some_and(|&(_, end)| at < end) {
-                    false
-                } else {
-                    outages.push((at, at + restart_after));
-                    true
-                }
-            }
-            _ => true,
-        });
-        self.crashes = 0;
-        self.dirty_restores = 0;
-        let mut next_event = 0usize;
-        // Arrival bursts are a service-layer effect: once the open-loop
-        // clock passes a burst's time, its `extra` follow-on arrivals
-        // land at the same instant as the triggering arrival. The RNG is
-        // only consumed for non-burst arrivals, so schedules without
-        // bursts draw the exact same arrival sequence as before.
-        let bursts: Vec<(SimTime, u16)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                ServiceEvent::ArrivalBurst { at, extra } => Some((at, extra)),
-                _ => None,
-            })
-            .collect();
-        let mut burst_idx = 0usize;
-        let mut burst_left = 0u32;
+    ) -> Result<FleetReport> {
+        let events: Vec<FleetEvent> = events.iter().map(|&e| on_device_zero(e)).collect();
+        self.fleet.run_open_loop(rate_hz, n, &events)
+    }
+}
 
-        let mut arrivals_rng = self.seeds.rng("arrivals");
-        let mut class_rng = self.seeds.rng("classes");
-        let mut input_rng = self.seeds.rng("inputs");
-
-        let tel = self.rt.device().telemetry().clone();
-        let comp = tel.is_enabled().then(|| tel.component("service"));
-        let mut obs = self.obs.as_ref().map(|cfg| {
-            let tenants: Vec<(String, SimDuration)> = self
-                .classes
-                .iter()
-                .map(|c| (c.name.clone(), c.deadline))
-                .collect();
-            cim_obs::Observability::new(cfg, &tenants, &tel)
-        });
-
-        let mut outcomes = Vec::with_capacity(n);
-        let mut now = SimTime::ZERO;
-        let mut latencies = Samples::new();
-        let (mut admitted, mut shed, mut completed, mut timed_out, mut failed) = (0, 0, 0, 0, 0);
-        let (mut recoveries, mut retries) = (0usize, 0usize);
-
-        for _ in 0..n {
-            if burst_left > 0 {
-                burst_left -= 1; // simultaneous with the previous arrival
-            } else {
-                now += SimDuration::from_secs_f64(exponential(&mut arrivals_rng, rate_hz));
-                while burst_idx < bursts.len() && bursts[burst_idx].0 <= now {
-                    burst_left += u32::from(bursts[burst_idx].1);
-                    burst_idx += 1;
-                }
-            }
-            let class = weighted_pick(&mut class_rng, &class_weights);
-            let width = self.classes[class].input_width;
-            let input: Vec<f64> = (0..width).map(|_| input_rng.gen_range(-1.0..1.0)).collect();
-
-            let id = self.next_request;
-            self.next_request += 1;
-
-            // Counters are bumped as each disposition lands (not batched
-            // after the run) so the time-series recorder below sees live
-            // values; end-of-run totals are unchanged.
-            if let Some(c) = comp {
-                tel.counter_add(c, "offered", 1);
-            }
-            let disposition = if let Err(FabricError::QueueFull { .. }) = self.try_admit(now) {
-                shed += 1;
-                if let Some(c) = comp {
-                    tel.counter_add(c, "shed", 1);
-                }
-                Disposition::Shed
-            } else {
-                admitted += 1;
-                if let Some(c) = comp {
-                    tel.counter_add(c, "admitted", 1);
-                }
-                match self.dispatch(class, now, input, &events, &mut next_event, &outages) {
-                    Ok((finished, attempts, recovered, output)) => {
-                        retries += (attempts - 1) as usize;
-                        if recovered {
-                            recoveries += 1;
-                        }
-                        if let Some(c) = comp {
-                            tel.counter_add(c, "retries", (attempts - 1) as u64);
-                            tel.counter_add(c, "recoveries", u64::from(recovered));
-                        }
-                        self.in_flight.push(finished);
-                        let lat = finished.saturating_since(now);
-                        if let Some(c) = comp {
-                            tel.record(c, "latency_ns", lat.as_ps() / 1000);
-                        }
-                        if lat <= self.classes[class].deadline && !output.is_empty() {
-                            completed += 1;
-                            latencies.record(lat.as_us_f64());
-                            if let Some(c) = comp {
-                                tel.counter_add(c, "completed", 1);
-                            }
-                            Disposition::Completed {
-                                finished,
-                                attempts,
-                                recovered,
-                                output,
-                            }
-                        } else {
-                            timed_out += 1;
-                            latencies.record(lat.as_us_f64());
-                            if let Some(c) = comp {
-                                tel.counter_add(c, "timed_out", 1);
-                            }
-                            Disposition::TimedOut { finished, attempts }
-                        }
-                    }
-                    Err(FabricError::RetriesExhausted { attempts }) => {
-                        retries += (attempts - 1) as usize;
-                        failed += 1;
-                        if let Some(c) = comp {
-                            tel.counter_add(c, "retries", (attempts - 1) as u64);
-                            tel.counter_add(c, "failed", 1);
-                        }
-                        self.in_flight.push(now);
-                        Disposition::Failed { attempts }
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if let Some(c) = comp {
-                tel.gauge_set(c, "queue_depth", self.in_flight.len() as f64);
-            }
-            if let Some(o) = obs.as_mut() {
-                let (at, observed) = match &disposition {
-                    Disposition::Completed { finished, .. } => (
-                        *finished,
-                        cim_obs::Observed::Done {
-                            latency: finished.saturating_since(now),
-                        },
-                    ),
-                    Disposition::TimedOut { finished, .. } => {
-                        (*finished, cim_obs::Observed::TimedOut)
-                    }
-                    Disposition::Shed => (now, cim_obs::Observed::Shed),
-                    Disposition::Failed { .. } => (now, cim_obs::Observed::Failed),
-                };
-                o.observe_request(class, at, observed);
-                // Sampling rides the monotone arrival clock; finish times
-                // may run slightly ahead but the tick grid stays regular.
-                tel.with_registry(|r| o.sample_to(now, r));
-            }
-            outcomes.push(RequestOutcome {
-                id,
-                class,
-                arrival: now,
-                disposition,
-            });
-        }
-
-        let latency = match latencies.percentiles(&[50.0, 95.0, 99.0]) {
-            Some(ps) => LatencyStats {
-                p50_us: ps[0],
-                p95_us: ps[1],
-                p99_us: ps[2],
-                mean_us: latencies.mean(),
-                max_us: latencies.percentile(100.0).unwrap_or(0.0),
-            },
-            None => LatencyStats::default(),
-        };
-
-        if let Some(c) = comp {
-            tel.gauge_set(c, "p99_us", latency.p99_us);
-            tel.gauge_set(c, "goodput", completed as f64 / n.max(1) as f64);
-        }
-
-        let (alerts, series_jsonl) = match obs {
-            Some(mut o) => {
-                tel.with_registry(|r| o.finalize(now, r));
-                // The analytic tier records no event-by-event registry
-                // evolution; hand the operating point to `finish` so the
-                // report still carries series-shaped signals.
-                let qm = cim_sim::analytic::QueueModel::new(
-                    rate_hz,
-                    SimDuration::from_ns_f64(latency.mean_us * 1_000.0),
-                );
-                let synthetic = (self.rt.device().config().sim_mode == cim_sim::SimMode::Analytic)
-                    .then_some((&qm, now));
-                let rep = o.finish(synthetic);
-                (rep.alerts, rep.series_jsonl)
-            }
-            None => (Vec::new(), String::new()),
-        };
-
-        Ok(ServiceReport {
-            outcomes,
-            offered: n,
-            admitted,
-            shed,
-            completed,
-            timed_out,
-            failed,
-            recoveries,
-            retries,
-            crashes: self.crashes,
-            dirty_restores: self.dirty_restores,
-            latency,
-            alerts,
-            series_jsonl,
-        })
+/// Lowers a service event onto the lone device of a one-device fleet.
+fn on_device_zero(event: ServiceEvent) -> FleetEvent {
+    match event {
+        ServiceEvent::ArrivalBurst { at, extra } => FleetEvent::ArrivalBurst { at, extra },
+        ServiceEvent::PowerLoss { at, restart_after } => FleetEvent::PowerLoss {
+            at,
+            device: 0,
+            restart_after,
+        },
+        event => FleetEvent::Device { device: 0, event },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FabricConfig;
+    use crate::error::FabricError;
+    use crate::fleet::backoff_delay;
     use cim_crossbar::dpe::DpeConfig;
     use cim_dataflow::graph::GraphBuilder;
     use cim_dataflow::ops::{Elementwise, Operation};

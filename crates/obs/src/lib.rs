@@ -214,7 +214,7 @@ impl Observability {
 }
 
 /// End-of-run output of the observability pipeline, surfaced on
-/// `ServiceReport`.
+/// `cim_fabric::fleet::FleetReport`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsReport {
     /// Burn-rate and zero-loss alerts in firing order (sim time, then

@@ -20,7 +20,8 @@
 //! `--telemetry out.jsonl` to export the full observability stream
 //! (metrics + series + alerts + profile) as validated JSON lines.
 
-use cim::fabric::service::{CimService, ServiceConfig, ServiceEvent, ServiceReport};
+use cim::fabric::fleet::FleetReport;
+use cim::fabric::service::{CimService, ServiceConfig, ServiceEvent};
 use cim::fabric::FabricConfig;
 use cim::obs::profile::Profile;
 use cim::obs::{alerts_jsonl, ObsConfig};
@@ -45,7 +46,7 @@ fn boot(seed: u64, level: TelemetryLevel) -> Result<CimService, Box<dyn Error>> 
     Ok(svc)
 }
 
-fn print_alerts(r: &ServiceReport) {
+fn print_alerts(r: &FleetReport) {
     for a in &r.alerts {
         println!(
             "      ALERT t={:>9} ns [{}] {} tenant={} burn={:.2}",

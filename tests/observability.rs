@@ -3,7 +3,8 @@
 //! histogram quantiles on a real workload, and span-profile totals
 //! reconciling with the end-to-end run.
 
-use cim::fabric::service::{CimService, ServiceConfig, ServiceReport};
+use cim::fabric::fleet::FleetReport;
+use cim::fabric::service::{CimService, ServiceConfig};
 use cim::fabric::FabricConfig;
 use cim::obs::profile::Profile;
 use cim::obs::{AlertSeverity, ObsConfig};
@@ -11,7 +12,7 @@ use cim::sim::telemetry::{Telemetry, TelemetryLevel};
 use cim::sim::SeedTree;
 use cim::workloads::serving::standard_request_mix;
 
-fn serve(rate_hz: f64, n: usize, level: TelemetryLevel) -> (ServiceReport, Telemetry) {
+fn serve(rate_hz: f64, n: usize, level: TelemetryLevel) -> (FleetReport, Telemetry) {
     let mut svc = CimService::new(
         FabricConfig::default(),
         ServiceConfig::default(),

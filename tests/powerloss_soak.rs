@@ -9,7 +9,7 @@
 //!   byte-identical, at 1 and 4 host threads.
 //!
 //! Run at `CIM_THREADS=1` and `=4` by `ci.sh`; the release-scale
-//! version of the same gates is `powerloss_smoke`.
+//! version of the same gates is `fleet_smoke powerloss`.
 
 use cim::fabric::fleet::{CimFleet, FleetConfig, FleetEvent, FleetReport};
 use cim::fabric::FabricConfig;
