@@ -13,32 +13,20 @@
 //! cargo bench --bench analytic > BENCH_analytic.json
 //! ```
 
+use cim_bench::experiments::fleet::{boot, FleetScenario};
 use cim_bench::harness::Group;
-use cim_fabric::service::{CimService, ServiceConfig};
-use cim_fabric::FabricConfig;
-use cim_sim::{SeedTree, SimMode};
-use cim_workloads::serving::standard_request_mix;
+use cim_fabric::fleet::CimFleet;
+use cim_sim::SimMode;
 
 const N_REQUESTS: usize = 150;
 const RATE_HZ: f64 = 100_000.0;
 const SEED: u64 = 0x5E21;
 
-fn boot(mode: SimMode) -> CimService {
-    let mut svc = CimService::new(
-        FabricConfig {
-            sim_mode: mode,
-            ..FabricConfig::default()
-        },
-        ServiceConfig::default(),
-        SeedTree::new(SEED),
+fn boot_in(mode: SimMode) -> CimFleet {
+    boot(
+        &FleetScenario::single(RATE_HZ, N_REQUESTS, SEED).in_mode(mode),
+        |_| {},
     )
-    .expect("service boots");
-    for spec in standard_request_mix() {
-        let (g, src, sink) = spec.build_graph(SeedTree::new(SEED ^ 0x7E4A47));
-        svc.register_class(spec.name, g, src, sink, spec.deadline, spec.weight)
-            .expect("mix is resident");
-    }
-    svc
 }
 
 fn main() {
@@ -51,16 +39,17 @@ fn main() {
         // The modeled completed-count is deterministic; record it as the
         // throughput denominator so any functional change to either tier
         // trips bench_compare's exact check, not just the timing window.
-        let completed = boot(mode)
+        let completed = boot_in(mode)
             .run_open_loop(RATE_HZ, N_REQUESTS, &[])
             .expect("serves")
             .completed;
         g.throughput(completed as u64);
         g.bench_with_setup(
             name,
-            || boot(mode),
-            |mut svc| {
-                svc.run_open_loop(RATE_HZ, N_REQUESTS, &[])
+            || boot_in(mode),
+            |mut fleet| {
+                fleet
+                    .run_open_loop(RATE_HZ, N_REQUESTS, &[])
                     .expect("serves")
                     .completed
             },

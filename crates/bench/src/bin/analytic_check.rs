@@ -4,24 +4,24 @@
 //! analytic_check [--sample small|wide] [--seeds N] [--out FILE.jsonl]
 //! ```
 //!
-//! Replays the sampled serving configurations through both simulation
-//! tiers and holds them to the declared agreement bounds (mean latency
-//! ±10%, energy ±5%, throughput ordering preserved — see
+//! Replays the sampled serving scenarios — single devices and
+//! multi-device fleets — through both simulation tiers and holds them
+//! to the declared agreement bounds (mean latency ±10%, energy ±5%,
+//! throughput ordering preserved — see
 //! `cim_bench::experiments::analytic`). On any disagreement the
 //! offending bounds are written to `--out` in the telemetry JSON-lines
 //! schema (so `telemetry_check` can validate the artifact CI uploads)
 //! and the process exits 1.
 //!
-//! `--sample small` (default) is the two-point per-push gate;
-//! `--sample wide` sweeps rates × `--seeds` seeds × encryption for the
-//! full gate. The median analytic-over-detailed wall-clock speedup is
-//! printed for the record; the recorded baseline lives in
-//! `BENCH_analytic.json`.
+//! `--sample small` (default) is the four-point per-push gate;
+//! `--sample wide` sweeps rates × `--seeds` seeds (× encryption on a
+//! single device) for the full gate. The median analytic-over-detailed
+//! wall-clock speedup is printed for the record; the recorded baseline
+//! lives in `BENCH_analytic.json`.
 
 use cim_bench::experiments::analytic::{
     self, check, compare, median_speedup, ENERGY_TOLERANCE, LATENCY_TOLERANCE,
 };
-use cim_bench::experiments::fleet;
 use std::process::ExitCode;
 
 fn usage(err: &str) -> ExitCode {
@@ -73,7 +73,7 @@ fn main() -> ExitCode {
     for c in &cmps {
         println!(
             "  {}: latency {:+.2}% energy {:+.2}% (DES {:.1} us / {} fJ) speedup {:.1}x",
-            c.point.label(),
+            c.scenario.label(),
             c.latency_rel_err() * 100.0,
             c.energy_rel_err() * 100.0,
             c.detailed.mean_latency_us,
@@ -86,37 +86,9 @@ fn main() -> ExitCode {
         median_speedup(&cmps)
     );
 
-    // The fleet half of the gate: the same bounds over multi-device
-    // serving scenarios (whole-device outage campaign included).
-    let fleet_points = if sample == "wide" {
-        fleet::mode_sample_wide(seeds)
-    } else {
-        fleet::mode_sample()
-    };
-    println!(
-        "analytic_check: {} fleet scenario(s) under the same bounds",
-        fleet_points.len()
-    );
-    let fleet_cmps = fleet::compare_modes(&fleet_points);
-    for c in &fleet_cmps {
-        println!(
-            "  {}: latency {:+.2}% energy {:+.2}% (DES {:.1} us / {} fJ) speedup {:.1}x",
-            c.scenario.label(),
-            c.latency_rel_err() * 100.0,
-            c.energy_rel_err() * 100.0,
-            c.detailed.mean_latency_us,
-            c.detailed.energy_fj,
-            c.speedup()
-        );
-    }
-
-    let mut disagreements = check(&cmps);
-    disagreements.extend(fleet::check_modes(&fleet_cmps));
+    let disagreements = check(&cmps);
     if disagreements.is_empty() {
-        println!(
-            "analytic_check: tiers agree on all {} point(s)",
-            cmps.len() + fleet_cmps.len()
-        );
+        println!("analytic_check: tiers agree on all {} point(s)", cmps.len());
         return ExitCode::SUCCESS;
     }
     for line in &disagreements {

@@ -23,14 +23,11 @@
 //! stacks, time and energy weighted), and `serving_utilization.txt`
 //! (per-component busy/idle timeline).
 
+use cim_bench::experiments::fleet::FleetScenario;
 use cim_bench::experiments::serving;
-use cim_fabric::service::{CimService, ServiceConfig};
-use cim_fabric::FabricConfig;
 use cim_obs::profile::Profile;
-use cim_obs::{alerts_jsonl, AlertSeverity, ObsConfig};
+use cim_obs::{alerts_jsonl, AlertSeverity};
 use cim_sim::telemetry::TelemetryLevel;
-use cim_sim::SeedTree;
-use cim_workloads::serving::standard_request_mix;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -126,28 +123,14 @@ fn main() -> ExitCode {
 /// `profile` — which CI pins with `telemetry_check --require-kinds`.
 fn write_artifacts(dir: &Path, requests: usize) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let mut svc = CimService::new(
-        FabricConfig::default(),
-        ServiceConfig::default(),
-        SeedTree::new(SEED),
-    )
-    .map_err(|e| format!("boot: {e}"))?;
-    svc.runtime_mut()
-        .device_mut()
-        .enable_telemetry(TelemetryLevel::Full);
-    svc.enable_observability(ObsConfig::default());
-    for spec in standard_request_mix() {
-        let (g, src, sink) = spec.build_graph(SeedTree::new(SEED ^ 0x7E4A47));
-        svc.register_class(spec.name, g, src, sink, spec.deadline, spec.weight)
-            .map_err(|e| format!("register: {e}"))?;
-    }
     // Span tracing is heavy; a shorter stream keeps the artifact run fast
     // while still exercising every tenant.
-    let n = requests.min(100);
-    let r = svc
-        .run_open_loop(OVERLOAD_HZ, n, &[])
+    let s = FleetScenario::single(OVERLOAD_HZ, requests.min(100), SEED);
+    let mut fleet = serving::boot_observed(&s, TelemetryLevel::Full);
+    let r = fleet
+        .run_open_loop(s.rate_hz, s.requests, &[])
         .map_err(|e| format!("run: {e}"))?;
-    let tel = svc.runtime().device().telemetry();
+    let tel = fleet.runtime(0).device().telemetry();
     let profile = Profile::from_telemetry(tel, 32);
 
     let obs_path = dir.join("serving_obs.jsonl");

@@ -1,21 +1,20 @@
 //! Serving load sweep: offered load through saturation (§III.E + §V.A).
 //!
-//! Boots one [`CimService`] per offered-load point — standard
-//! three-tenant request mix resident in crossbars — and drives an
-//! open-loop arrival stream through each. Light load completes within
+//! Boots one single-device [`FleetScenario`] per offered-load point —
+//! standard three-tenant request mix resident in crossbars — and drives
+//! an open-loop arrival stream through each. Light load completes within
 //! SLO; past saturation the bounded admission queue sheds load and
 //! deadline misses appear, while p99 of *admitted* requests stays
 //! bounded by the queue depth. Points run in parallel on up to
 //! `CIM_THREADS` host threads; every number is bit-identical at any
 //! thread count.
 
+use super::fleet::{boot, FleetScenario};
 use crate::harness::{parallel_points, parallel_points_threads};
 use crate::table::TextTable;
-use cim_fabric::service::{CimService, LatencyStats, ServiceConfig};
-use cim_fabric::FabricConfig;
+use cim_fabric::fleet::CimFleet;
+use cim_fabric::service::LatencyStats;
 use cim_sim::telemetry::TelemetryLevel;
-use cim_sim::SeedTree;
-use cim_workloads::serving::standard_request_mix;
 
 /// One offered-load operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,26 +56,23 @@ pub const DEFAULT_RATES: [f64; 6] = [
     3_200_000.0,
 ];
 
+/// Boots `s` with device 0's telemetry at `level` and the
+/// observability pipeline attached, both before the mix is placed: the
+/// sweep's points record at [`TelemetryLevel::Metrics`], the SLO
+/// artifact run at [`TelemetryLevel::Full`].
+pub fn boot_observed(s: &FleetScenario, level: TelemetryLevel) -> CimFleet {
+    boot(s, |fleet| {
+        fleet.runtime_mut(0).device_mut().enable_telemetry(level);
+        fleet.enable_observability(cim_obs::ObsConfig::default());
+    })
+}
+
 fn run_point(rate_hz: f64, n: usize, seed: u64) -> ServingPoint {
-    let mut svc = CimService::new(
-        FabricConfig::default(),
-        ServiceConfig::default(),
-        SeedTree::new(seed),
-    )
-    .expect("service boots");
-    let tel = svc
-        .runtime_mut()
-        .device_mut()
-        .enable_telemetry(TelemetryLevel::Metrics);
-    svc.enable_observability(cim_obs::ObsConfig::default());
     // Same resident models at every point; only the arrival seed and
     // rate vary, so the sweep isolates the load axis.
-    for spec in standard_request_mix() {
-        let (g, src, sink) = spec.build_graph(SeedTree::new(seed ^ 0x7E4A47));
-        svc.register_class(spec.name, g, src, sink, spec.deadline, spec.weight)
-            .expect("mix is resident on the default fabric");
-    }
-    let r = svc.run_open_loop(rate_hz, n, &[]).expect("stream serves");
+    let s = FleetScenario::single(rate_hz, n, seed);
+    let mut fleet = boot_observed(&s, TelemetryLevel::Metrics);
+    let r = fleet.run_open_loop(rate_hz, n, &[]).expect("stream serves");
     ServingPoint {
         rate_hz,
         offered: r.offered,
@@ -87,7 +83,7 @@ fn run_point(rate_hz: f64, n: usize, seed: u64) -> ServingPoint {
         failed: r.failed,
         recoveries: r.recoveries,
         latency: r.latency,
-        telemetry_jsonl: tel.export_jsonl(),
+        telemetry_jsonl: fleet.runtime(0).device().telemetry().export_jsonl(),
         alerts: r.alerts,
         series_jsonl: r.series_jsonl,
     }

@@ -18,14 +18,8 @@ use cim_bench::experiments::fleet::{
 
 fn soak_scenario() -> FleetScenario {
     FleetScenario {
-        devices: 4,
-        replicas: 2,
-        rate_hz: 200_000.0,
         requests: 20_000,
-        seed: 0xF1EE7,
-        mode: SimMode::Analytic,
-        outage: true,
-        keep_outcomes: false,
+        ..fleet::default_scenario()
     }
 }
 
@@ -103,17 +97,11 @@ fn soak_reports_are_bit_identical() {
 /// (wall-clock excluded).
 #[test]
 fn fleet_comparisons_are_thread_invariant() {
-    let scenarios = vec![
-        FleetScenario {
-            requests: 1_500,
-            ..soak_scenario()
-        },
-        FleetScenario {
-            requests: 1_500,
-            seed: 0xF1EE8,
-            ..soak_scenario()
-        },
-    ];
+    let s = FleetScenario {
+        requests: 1_500,
+        ..soak_scenario()
+    };
+    let scenarios = vec![s.clone(), s.seeded(0xF1EE8)];
     let a = fleet::run_threads(&scenarios, 1);
     let b = fleet::run_threads(&scenarios, 4);
     assert_eq!(a.len(), b.len());
