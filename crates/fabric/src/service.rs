@@ -336,21 +336,11 @@ impl CimService {
         n: usize,
         events: &[ServiceEvent],
     ) -> Result<FleetReport> {
-        let events: Vec<FleetEvent> = events.iter().map(|&e| on_device_zero(e)).collect();
+        let events: Vec<FleetEvent> = events
+            .iter()
+            .map(|&event| FleetEvent::Device { device: 0, event })
+            .collect();
         self.fleet.run_open_loop(rate_hz, n, &events)
-    }
-}
-
-/// Lowers a service event onto the lone device of a one-device fleet.
-fn on_device_zero(event: ServiceEvent) -> FleetEvent {
-    match event {
-        ServiceEvent::ArrivalBurst { at, extra } => FleetEvent::ArrivalBurst { at, extra },
-        ServiceEvent::PowerLoss { at, restart_after } => FleetEvent::PowerLoss {
-            at,
-            device: 0,
-            restart_after,
-        },
-        event => FleetEvent::Device { device: 0, event },
     }
 }
 
