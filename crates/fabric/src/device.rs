@@ -131,35 +131,19 @@ impl CimDevice {
         self.tel_noc
     }
 
-    /// Fault→recovery latencies, one per recovery, oldest first.
-    ///
-    /// Measured from the span tracer when span tracing is on
-    /// ([`TelemetryLevel::Full`]): each `recovery` span runs from the
-    /// fault's detection window to replay readiness. When spans are off,
-    /// falls back to pairing component-scoped `fault detected` /
-    /// `recovered` trace records via [`TraceBuffer::find_in`] — never the
-    /// old whole-buffer substring search, which could match an unrelated
-    /// unit's message.
+    /// Fault→recovery latencies, one per recovery, oldest first: each
+    /// `recovery` span runs from the fault's detection window to replay
+    /// readiness. Spans are recorded only at [`TelemetryLevel::Full`];
+    /// below that this is empty. The spans live on the host-side
+    /// telemetry, so recoveries before a power loss are still reported
+    /// after it. The trace buffer's records are a human-readable log
+    /// only, never a measurement source.
     pub fn recovery_latencies(&self) -> Vec<SimDuration> {
-        let spans = self.telemetry.completed_spans("recovery");
-        if !spans.is_empty() {
-            return spans.iter().filter_map(|s| s.duration()).collect();
-        }
-        let mut components: Vec<&str> = Vec::new();
-        for r in self.trace.iter() {
-            if r.message.contains("fault detected") && !components.contains(&r.component.as_str()) {
-                components.push(&r.component);
-            }
-        }
-        let mut out = Vec::new();
-        for comp in components {
-            let fault = self.trace.find_in(comp, "fault detected");
-            let recovered = self.trace.find_in(comp, "recovered");
-            if let (Some(f), Some(r)) = (fault, recovered) {
-                out.push(r.at.saturating_since(f.at));
-            }
-        }
-        out
+        self.telemetry
+            .completed_spans("recovery")
+            .iter()
+            .filter_map(|s| s.duration())
+            .collect()
     }
 
     /// The device configuration.

@@ -663,8 +663,7 @@ impl CimDevice {
                             // detection window plus the spare's programming,
                             // attributed to the failed unit with the write
                             // energy it cost. The paired trace records keep
-                            // a human-readable timeline (and a span-free
-                            // measurement path via `find_in`).
+                            // a human-readable timeline.
                             let recovery_span = tel.span_enter_child(
                                 item_span,
                                 self.unit(failed).telemetry_component(),
@@ -927,23 +926,33 @@ mod tests {
     }
 
     #[test]
-    fn recovery_latency_trace_fallback_without_spans() {
-        // With telemetry fully disabled the measurement still works,
-        // from component-scoped trace record pairs (find_in), and gives
-        // the same number the spans would.
-        let mut d = device();
-        let (g, src, _) = mlp_graph();
-        let mut prog = d.load_program(&g, MappingPolicy::LocalityAware).unwrap();
-        let victim = prog.placement().unit_of(1);
-        d.fail_unit(victim);
-        let report = d
-            .execute_stream(
-                &mut prog,
-                &[input_for(src, vec![0.5; 16])],
-                &StreamOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(d.recovery_latencies(), vec![report.recoveries[0].overhead]);
+    fn recovery_latency_survives_power_loss() {
+        use cim_sim::telemetry::TelemetryLevel;
+        let recover = |level: TelemetryLevel| {
+            let mut d = device();
+            d.enable_telemetry(level);
+            let (g, src, _) = mlp_graph();
+            let mut prog = d.load_program(&g, MappingPolicy::LocalityAware).unwrap();
+            d.fail_unit(prog.placement().unit_of(1));
+            let report = d
+                .execute_stream(
+                    &mut prog,
+                    &[input_for(src, vec![0.5; 16])],
+                    &StreamOptions::default(),
+                )
+                .unwrap();
+            assert_eq!(report.recoveries.len(), 1);
+            // The crash's amnesia half: every piece of volatile device
+            // state goes, the host-side telemetry stays.
+            d.wipe_volatile();
+            assert!(d.volatile_pristine());
+            (d, report.recoveries[0].overhead)
+        };
+        let (d, overhead) = recover(TelemetryLevel::Full);
+        assert_eq!(d.recovery_latencies(), vec![overhead]);
+        // Spans are the only measurement: below `Full` there is none.
+        let (d, _) = recover(TelemetryLevel::Metrics);
+        assert!(d.recovery_latencies().is_empty());
     }
 
     #[test]

@@ -1,37 +1,38 @@
 //! # cim-sim — simulation substrate for the CIM reproduction
 //!
-//! Deterministic discrete-event kernel, time/energy accounting, statistics,
-//! random-number streams, tracing, and the calibration constants every
-//! platform model (crossbar, NoC, CPU, GPU, cluster) is built on.
+//! Picosecond time and femtojoule energy accounting, statistics,
+//! deterministic random-number streams, telemetry and a bounded trace
+//! log, the analytic (closed-form) tier, and the calibration constants
+//! every platform model (crossbar, NoC, CPU, GPU, cluster) is built on.
 //!
 //! This crate is the bottom of the dependency graph for the reproduction of
-//! *Computing In-Memory, Revisited* (Milojicic et al., ICDCS 2018): all
-//! timing and energy claims in the paper's §VI are regenerated by models
-//! that schedule events here and charge energy to [`energy::EnergyMeter`]s.
+//! *Computing In-Memory, Revisited* (Milojicic et al., ICDCS 2018). The
+//! models above it advance their own [`time::SimTime`] clocks — the CIM
+//! engine schedules by per-unit busy horizons — and charge energy to
+//! [`energy::EnergyMeter`]s, drawing every stochastic choice from a
+//! [`rng::SeedTree`] so whole experiments replay bit-identically.
 //!
 //! ## Example
 //!
 //! ```
-//! use cim_sim::event::{Control, Simulation};
 //! use cim_sim::energy::{Energy, EnergyMeter};
+//! use cim_sim::rng::{Rng, SeedTree};
 //! use cim_sim::time::{SimDuration, SimTime};
 //!
-//! // A toy pipeline: each stage takes 10 ns and 1 pJ.
-//! struct State { meter: EnergyMeter, done: u32 }
-//! let mut sim = Simulation::new(State { meter: EnergyMeter::new(), done: 0 });
-//! sim.queue_mut().schedule(SimTime::ZERO, 0u32);
-//! sim.run(|s, q, _t, stage| {
-//!     s.meter.charge("stage", Energy::from_pj(1.0));
-//!     if stage < 2 {
-//!         q.schedule_after(SimDuration::from_ns(10), stage + 1);
-//!     } else {
-//!         s.done = 1;
-//!     }
-//!     Control::Continue
-//! });
-//! assert_eq!(sim.state().done, 1);
-//! assert_eq!(sim.state().meter.total(), Energy::from_pj(3.0));
-//! assert_eq!(sim.now(), SimTime::from_ns(20));
+//! // A toy three-stage pipeline: each stage takes 10 ns and 1 pJ, and
+//! // a seeded stream picks which stage is slow.
+//! let seeds = SeedTree::new(7);
+//! let slow = seeds.rng("stall").gen_range(0..3u64);
+//! let mut meter = EnergyMeter::new();
+//! let mut now = SimTime::ZERO;
+//! for stage in 0..3u64 {
+//!     let extra = if stage == slow { 5 } else { 0 };
+//!     now += SimDuration::from_ns(10 + extra);
+//!     meter.charge("stage", Energy::from_pj(1.0));
+//! }
+//! assert_eq!(now, SimTime::from_ns(35));
+//! assert_eq!(meter.total(), Energy::from_pj(3.0));
+//! assert_eq!(seeds.rng("stall").gen_range(0..3u64), slow, "streams replay");
 //! ```
 
 #![warn(missing_docs)]
@@ -40,7 +41,6 @@
 pub mod analytic;
 pub mod calib;
 pub mod energy;
-pub mod event;
 pub mod json;
 pub mod pool;
 pub mod prop;
@@ -52,7 +52,6 @@ pub mod trace;
 
 pub use analytic::SimMode;
 pub use energy::{Energy, EnergyMeter, Power};
-pub use event::{Control, EventQueue, RunOutcome, Simulation};
 pub use rng::SeedTree;
 pub use stats::{Counter, Log2Histogram, Samples, Summary};
 pub use telemetry::{ComponentId, MetricsRegistry, SpanId, SpanTracer, Telemetry, TelemetryLevel};

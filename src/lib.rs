@@ -14,7 +14,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`sim`] | `cim-sim` | event kernel, time/energy, stats, calibration |
+//! | [`sim`] | `cim-sim` | time/energy, RNG, stats, telemetry, calibration |
 //! | [`crossbar`] | `cim-crossbar` | memristor arrays, DPE, logic, TCAM |
 //! | [`noc`] | `cim-noc` | packet mesh, QoS, isolation, crypto |
 //! | [`dataflow`] | `cim-dataflow` | graph IR, interpreter, program models |
