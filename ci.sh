@@ -14,18 +14,18 @@
 #                     gate; hosted CI runs it on every push and pull
 #                     request.
 #   ./ci.sh           The full gate: quick plus the CIM_THREADS=4 test
-#   ./ci.sh full      pass, example smokes, serving, fleet-failover and
-#                     power-loss soaks (the failover soak at one million
-#                     requests), the chaos campaigns (clean sweep,
-#                     4-device fleet sweep, power-loss sweep and the
-#                     adversarial fleet sweep, each gated on full
-#                     action-kind coverage, plus three
-#                     weakened-invariant replay self-checks), the
-#                     wide-sample analytic_check seed sweep, and the
-#                     bench-regression comparison against the committed
-#                     BENCH_*.json baselines (with the ≥10× analytic
-#                     serving speedup floor).
-#                     Hosted CI runs it on pushes to main.
+#   ./ci.sh full      pass (both test passes run the serving,
+#                     fleet-failover and power-loss soak tests), example
+#                     smokes, the one-million-request failover soak, the
+#                     chaos campaigns (clean sweep, 4-device fleet
+#                     sweep, power-loss sweep and the adversarial fleet
+#                     sweep, each gated on full action-kind coverage,
+#                     plus three weakened-invariant replay
+#                     self-checks), the wide-sample analytic_check seed
+#                     sweep, and the bench-regression comparison
+#                     against the committed BENCH_*.json baselines (with
+#                     the ≥10× analytic serving speedup floor). Hosted
+#                     CI runs it on pushes to main.
 #   ./ci.sh baseline  Regenerates BENCH_*.json from this machine and
 #                     overwrites the committed baselines. Run it (and
 #                     commit the result) when a deliberate change moves
@@ -179,32 +179,6 @@ cargo run --release --offline -p cim-bench --bin telemetry_check -- \
 [ -s "$ART/serving_time.folded" ]
 [ -s "$ART/serving_energy.folded" ]
 [ -s "$ART/serving_utilization.txt" ]
-
-step "serving soak (CIM_THREADS=1)"
-# The serving front-end's acceptance gates: overload sheds with bounded
-# p99, repeated unit failures lose nothing, retry-after-repair works.
-CIM_THREADS=1 cargo test -q --offline --test serving_soak
-
-step "serving soak (CIM_THREADS=4)"
-CIM_THREADS=4 cargo test -q --offline --test serving_soak
-
-step "fleet failover soak (CIM_THREADS=1)"
-# The router tier's acceptance gates: whole-device outages void and
-# re-route without loss, no double execution, cluster baseline replays
-# the identical workload, reports bit-identical across thread counts.
-CIM_THREADS=1 cargo test -q --offline --test fleet_failover
-
-step "fleet failover soak (CIM_THREADS=4)"
-CIM_THREADS=4 cargo test -q --offline --test fleet_failover
-
-step "power-loss soak (CIM_THREADS=1)"
-# The crash-recovery contract end to end: every device crashes once
-# mid-stream, nothing is lost or double-executed, every restore is
-# pristine, reports and telemetry byte-identical across double runs.
-CIM_THREADS=1 cargo test -q --offline --test powerloss_soak
-
-step "power-loss soak (CIM_THREADS=4)"
-CIM_THREADS=4 cargo test -q --offline --test powerloss_soak
 
 step "fleet_smoke failover: one-million-request failover soak"
 # The tentpole acceptance at full scale: zero loss and exact failover
