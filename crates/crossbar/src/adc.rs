@@ -29,6 +29,9 @@ use cim_sim::time::SimDuration;
 pub struct Adc {
     bits: u32,
     full_scale: f64,
+    /// `full_scale / (codes − 1)`, computed once: every conversion and
+    /// reconstruction divides or multiplies by it.
+    lsb: f64,
 }
 
 impl Adc {
@@ -40,7 +43,12 @@ impl Adc {
         if !(1..=16).contains(&bits) || !full_scale.is_finite() || full_scale <= 0.0 {
             return None;
         }
-        Some(Adc { bits, full_scale })
+        let lsb = full_scale / ((1u32 << bits) - 1) as f64;
+        Some(Adc {
+            bits,
+            full_scale,
+            lsb,
+        })
     }
 
     /// Resolution in bits.
@@ -60,18 +68,18 @@ impl Adc {
 
     /// The analog value of one code step.
     pub fn lsb(&self) -> f64 {
-        self.full_scale / (self.codes() - 1) as f64
+        self.lsb
     }
 
     /// Digitizes an analog value, clamping to the input range.
     pub fn convert(&self, analog: f64) -> u32 {
         let clamped = analog.clamp(0.0, self.full_scale);
-        (clamped / self.lsb()).round() as u32
+        (clamped / self.lsb).round() as u32
     }
 
     /// Maps a code back to its analog reconstruction value.
     pub fn reconstruct(&self, code: u32) -> f64 {
-        f64::from(code.min(self.codes() - 1)) * self.lsb()
+        f64::from(code.min(self.codes() - 1)) * self.lsb
     }
 
     /// Time for one conversion at the calibrated sample rate. The rate is
