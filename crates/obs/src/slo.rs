@@ -441,4 +441,198 @@ mod tests {
         assert_eq!(back.to_jsonl_line(), line);
         assert!(AlertEvent::parse_jsonl_line("{\"metric\":\"event/x\"}").is_err());
     }
+
+    /// The reference engine: the same rules, with every window counted
+    /// by a full scan of the tenant's history.
+    struct ScanEngine {
+        specs: Vec<SloSpec>,
+        rules: Vec<BurnRateRule>,
+        history: Vec<Vec<(SimTime, bool)>>,
+        firing: Vec<Vec<bool>>,
+        lost_seen: Vec<bool>,
+        alerts: Vec<AlertEvent>,
+    }
+
+    impl ScanEngine {
+        fn new(specs: Vec<SloSpec>, rules: Vec<BurnRateRule>) -> Self {
+            let (n, r) = (specs.len(), rules.len());
+            ScanEngine {
+                specs,
+                rules,
+                history: vec![Vec::new(); n],
+                firing: vec![vec![false; r]; n],
+                lost_seen: vec![false; n],
+                alerts: Vec::new(),
+            }
+        }
+
+        fn window_counts(&self, tenant: usize, at: SimTime, window: SimDuration) -> (usize, usize) {
+            let cutoff = SimTime::from_ps(at.as_ps().saturating_sub(window.as_ps()));
+            let inside = self.history[tenant]
+                .iter()
+                .filter(|(t, _)| *t > cutoff && *t <= at);
+            inside.fold((0, 0), |(n, bad), (_, good)| {
+                (n + 1, bad + usize::from(!good))
+            })
+        }
+
+        fn observe(&mut self, tenant: usize, at: SimTime, good: bool, lost: bool) {
+            let spec = &self.specs[tenant];
+            if lost && spec.zero_loss && !self.lost_seen[tenant] {
+                self.lost_seen[tenant] = true;
+                self.alerts.push(AlertEvent {
+                    at,
+                    tenant: spec.tenant.clone(),
+                    rule: "zero_loss".to_owned(),
+                    severity: AlertSeverity::Page,
+                    burn_rate: 1.0,
+                    window: SimDuration::ZERO,
+                });
+            }
+            self.history[tenant].push((at, good));
+            let budget = (1.0 - spec.availability).max(1e-9);
+            let burn = |bad: usize, n: usize| {
+                if n == 0 {
+                    0.0
+                } else {
+                    (bad as f64 / n as f64) / budget
+                }
+            };
+            for r in 0..self.rules.len() {
+                let rule = &self.rules[r];
+                let (long_n, long_bad) = self.window_counts(tenant, at, rule.long_window);
+                let (short_n, short_bad) = self.window_counts(tenant, at, rule.short_window);
+                let long_burn = burn(long_bad, long_n);
+                let now_firing = long_n >= rule.min_count
+                    && short_n > 0
+                    && long_burn >= rule.burn_threshold
+                    && burn(short_bad, short_n) >= rule.burn_threshold;
+                if now_firing && !self.firing[tenant][r] {
+                    self.alerts.push(AlertEvent {
+                        at,
+                        tenant: self.specs[tenant].tenant.clone(),
+                        rule: rule.name.clone(),
+                        severity: rule.severity,
+                        burn_rate: long_burn,
+                        window: rule.long_window,
+                    });
+                }
+                self.firing[tenant][r] = now_firing;
+            }
+        }
+
+        fn into_alerts(mut self) -> Vec<AlertEvent> {
+            self.alerts.sort_by_key(|a| a.at);
+            self.alerts
+        }
+    }
+
+    #[test]
+    fn alert_timeline_matches_the_full_scan_reference() {
+        use cim_sim::prop::{check, PropConfig};
+        use cim_sim::prop_assert_eq;
+        use cim_sim::rng::Rng;
+        const AVAILABILITY: [f64; 4] = [0.99, 0.9, 0.999, 0.5];
+        const THRESHOLD: [f64; 4] = [14.4, 6.0, 1.0, 0.0];
+        let fired = std::cell::Cell::new(0usize);
+        check(
+            "sorted-window SLO alerts equal the full-scan reference",
+            &PropConfig::cases(300),
+            |rng| {
+                // (zero_loss, availability index) per tenant.
+                let specs: Vec<(bool, u8)> = (0..rng.gen_range(1usize..4))
+                    .map(|_| (rng.gen_bool(0.5), rng.gen_range(0u8..4)))
+                    .collect();
+                fn window(rng: &mut impl Rng) -> u64 {
+                    match rng.gen_range(0u8..4) {
+                        0 => 0,
+                        1 => rng.gen_range(1u64..2_000_000),
+                        _ => rng.gen_range(1u64..20_000_000),
+                    }
+                }
+                // (long ps, short ps, min_count, threshold index) per rule.
+                let rules: Vec<(u64, u64, usize, u8)> = (0..rng.gen_range(1usize..4))
+                    .map(|_| {
+                        let (long, short) = (window(rng), window(rng));
+                        (
+                            long,
+                            short,
+                            rng.gen_range(0usize..30),
+                            rng.gen_range(0u8..4),
+                        )
+                    })
+                    .collect();
+                let max_window = rules.iter().map(|r| r.0.max(r.1)).max().unwrap_or(0);
+                let p_bad = rng.gen::<f64>();
+                let mut clock = 0u64;
+                // (tenant, finish ps, 0 good / 1 bad / 2 lost): finish
+                // times repeat, jump back by up to a window, or sit at 0.
+                let stream: Vec<(usize, u64, u8)> = (0..rng.gen_range(0usize..400))
+                    .map(|_| {
+                        if !rng.gen_bool(0.2) {
+                            clock += rng.gen_range(1u64..200_000);
+                        }
+                        let at = if rng.gen_bool(0.05) {
+                            0
+                        } else if rng.gen_bool(0.3) {
+                            clock.saturating_sub(rng.gen_range(0..max_window + 1))
+                        } else {
+                            clock
+                        };
+                        let kind = match (rng.gen_bool(p_bad), rng.gen_bool(0.2)) {
+                            (false, _) => 0,
+                            (true, false) => 1,
+                            (true, true) => 2,
+                        };
+                        (rng.gen_range(0..specs.len()), at, kind)
+                    })
+                    .collect();
+                (specs, rules, stream)
+            },
+            |(specs, rules, stream)| {
+                if specs.is_empty() {
+                    return Ok(());
+                }
+                let specs: Vec<SloSpec> = specs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(zero_loss, a))| SloSpec {
+                        tenant: format!("t{i}"),
+                        latency_target: SimDuration::from_us(20),
+                        availability: AVAILABILITY[usize::from(a) % 4],
+                        zero_loss,
+                    })
+                    .collect();
+                let rules: Vec<BurnRateRule> = rules
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(long, short, min_count, th))| BurnRateRule {
+                        name: format!("r{i}"),
+                        severity: if i % 2 == 0 {
+                            AlertSeverity::Page
+                        } else {
+                            AlertSeverity::Ticket
+                        },
+                        burn_threshold: THRESHOLD[usize::from(th) % 4],
+                        long_window: SimDuration::from_ps(long),
+                        short_window: SimDuration::from_ps(short),
+                        min_count,
+                    })
+                    .collect();
+                let tenants = specs.len();
+                let mut engine = SloEngine::new(specs.clone(), rules.clone());
+                let mut scan = ScanEngine::new(specs, rules);
+                for &(tenant, at, kind) in stream {
+                    let (tenant, at) = (tenant % tenants, SimTime::from_ps(at));
+                    engine.observe(tenant, at, kind == 0, kind == 2);
+                    scan.observe(tenant, at, kind == 0, kind == 2);
+                }
+                let alerts = engine.into_alerts();
+                fired.set(fired.get() + alerts.len());
+                prop_assert_eq!(alerts, scan.into_alerts());
+                Ok(())
+            },
+        );
+        assert!(fired.get() > 0, "the sweep never fired an alert");
+    }
 }
