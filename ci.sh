@@ -3,7 +3,9 @@
 # so "passes ci.sh" and "passes CI" are the same statement.
 #
 #   ./ci.sh quick     fmt → clippy → build → test (CIM_THREADS=1), plus
-#                     the small-sample analytic_check (two-tier
+#                     the perfbench self-check (the BENCHMARK.json
+#                     benchmark still builds and runs every workload
+#                     briefly), the small-sample analytic_check (two-tier
 #                     agreement, single-device and fleet), the SLO
 #                     alerting smoke (healthy silent, overload pages),
 #                     and the three fleet_smoke scenarios: failover
@@ -110,6 +112,14 @@ cargo build --workspace --release --offline
 
 step "cargo test -q --offline (CIM_THREADS=1)"
 CIM_THREADS=1 cargo test --workspace -q --offline
+
+step "perfbench self-check: the declared benchmark builds and runs"
+# perfbench is a package of its own (see BENCHMARK.json) that builds
+# against the library crates by path, so the workspace build and test
+# steps above never compile it. Its self-check runs every workload
+# briefly, untraced and traced, so a library change that breaks the
+# benchmark fails here instead of at the next measurement.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 step "analytic_check: two-tier agreement, small sample"
 # The analytic fast path must agree with the DES within the declared

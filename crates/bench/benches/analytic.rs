@@ -47,7 +47,7 @@ fn main() {
         g.bench_with_setup(
             name,
             || boot_in(mode),
-            |mut fleet| {
+            |fleet| {
                 fleet
                     .run_open_loop(RATE_HZ, N_REQUESTS, &[])
                     .expect("serves")

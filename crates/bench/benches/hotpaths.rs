@@ -57,7 +57,7 @@ fn bench_noc() {
     g.bench_with_setup(
         "transmit_8hops_plain",
         || NocNetwork::new(8, 8, 7).unwrap(),
-        |mut noc| {
+        |noc| {
             let p = Packet::new(1, NodeId::new(0, 0), NodeId::new(7, 7), vec![0u8; 64]);
             black_box(noc.transmit(&p, SimTime::ZERO).unwrap())
         },
@@ -69,7 +69,7 @@ fn bench_noc() {
             noc.set_encryption(true);
             noc
         },
-        |mut noc| {
+        |noc| {
             let p = Packet::new(1, NodeId::new(0, 0), NodeId::new(7, 7), vec![0u8; 64]);
             black_box(noc.transmit(&p, SimTime::ZERO).unwrap())
         },

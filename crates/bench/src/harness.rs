@@ -256,13 +256,15 @@ impl Group {
         self.push_report(name, batch, per_iter);
     }
 
-    /// Runs one benchmark whose routine consumes fresh state per iteration
-    /// (criterion's `iter_batched`): `setup` runs untimed, `routine` is
-    /// timed over a pre-built batch of inputs.
+    /// Runs one benchmark whose routine needs fresh state per iteration
+    /// (criterion's `iter_batched_ref`): `setup` runs untimed, `routine`
+    /// is timed over a pre-built batch of inputs, and both the inputs and
+    /// the routine's outputs are dropped after the timer stops, so a
+    /// large state's teardown is not charged to the routine.
     pub fn bench_with_setup<S, T, G, F>(&mut self, name: &str, mut setup: G, mut routine: F)
     where
         G: FnMut() -> S,
-        F: FnMut(S) -> T,
+        F: FnMut(&mut S) -> T,
     {
         // Warmup and calibrate on (setup + routine), then cap the batch so
         // pre-built inputs stay modest.
@@ -273,10 +275,11 @@ impl Group {
         while (Instant::now() - warmup_start).as_nanos() < u128::from(warmup_budget_ns)
             || warmup_iters < 3
         {
-            let input = setup();
+            let mut input = setup();
             let t = Instant::now();
-            std::hint::black_box(routine(input));
+            let output = std::hint::black_box(routine(&mut input));
             routine_ns_est = routine_ns_est.min((Instant::now() - t).as_nanos() as f64);
+            drop((output, input));
             warmup_iters += 1;
         }
         let target_ns = (self.opts.target_sample_us as f64) * 1_000.0;
@@ -284,12 +287,14 @@ impl Group {
 
         let mut per_iter = Vec::with_capacity(self.opts.samples);
         for _ in 0..self.opts.samples {
-            let inputs: Vec<S> = (0..batch).map(|_| setup()).collect();
+            let mut inputs: Vec<S> = (0..batch).map(|_| setup()).collect();
+            let mut outputs = Vec::with_capacity(inputs.len());
             let t = Instant::now();
-            for input in inputs {
-                std::hint::black_box(routine(input));
+            for input in &mut inputs {
+                outputs.push(std::hint::black_box(routine(input)));
             }
             per_iter.push((Instant::now() - t).as_nanos() as f64 / batch as f64);
+            drop((outputs, inputs));
         }
         self.push_report(name, batch, per_iter);
     }
@@ -351,15 +356,39 @@ mod tests {
         g.bench_with_setup(
             "drain",
             || vec![1u64; 256],
-            |mut v| {
+            |v| {
                 // Draining twice would panic on reused state.
                 assert_eq!(v.len(), 256);
                 v.clear();
-                v
             },
         );
         let r = &g.finish()[0];
         assert!(r.median_ns > 0.0);
+    }
+
+    #[test]
+    fn with_setup_drops_state_after_the_timer_stops() {
+        use std::time::Duration;
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let mut g = Group::with_options("t", quick());
+        // A 1 ms routine keeps the batch at one input per sample; the
+        // input's and the output's 20 ms drops must stay off the clock.
+        g.bench_with_setup(
+            "teardown",
+            || SlowDrop,
+            |_| {
+                std::thread::sleep(Duration::from_millis(1));
+                SlowDrop
+            },
+        );
+        let r = &g.finish()[0];
+        assert_eq!(r.iters_per_sample, 1);
+        assert!(r.median_ns < 10e6, "teardown was timed: {r:?}");
     }
 
     #[test]
