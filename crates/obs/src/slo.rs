@@ -205,11 +205,27 @@ impl AlertEvent {
     }
 }
 
-/// One classified observation in a tenant's sliding history.
-#[derive(Debug, Clone, Copy)]
-struct Obs {
-    at: SimTime,
-    good: bool,
+/// One tenant's observation history: finish times, each list kept
+/// sorted, so counting a window is two binary searches per list.
+#[derive(Debug, Clone, Default)]
+struct History {
+    /// Finish times of every observation.
+    all: Vec<SimTime>,
+    /// Finish times of the bad observations.
+    bad: Vec<SimTime>,
+}
+
+/// Inserts `at` into the sorted `times`. Finish times arrive nearly in
+/// order (a later arrival can finish a little earlier), so the insert
+/// point is at or near the end and shifts few elements.
+fn insert_sorted(times: &mut Vec<SimTime>, at: SimTime) {
+    let i = times.partition_point(|&t| t <= at);
+    times.insert(i, at);
+}
+
+/// How many of the sorted `times` fall in `(lo, hi]`.
+fn count_in(times: &[SimTime], lo: SimTime, hi: SimTime) -> usize {
+    times.partition_point(|&t| t <= hi) - times.partition_point(|&t| t <= lo)
 }
 
 /// Evaluates SLO specs over sliding windows and accumulates alerts.
@@ -217,10 +233,9 @@ struct Obs {
 pub struct SloEngine {
     specs: Vec<SloSpec>,
     rules: Vec<BurnRateRule>,
-    /// Per-tenant observation history (the full run: serving horizons
-    /// are short enough that trimming would save nothing and cost
-    /// determinism headaches with out-of-order finish times).
-    history: Vec<Vec<Obs>>,
+    /// Per-tenant observation history (the full run: a window may reach
+    /// back to any finish time, since finish times arrive out of order).
+    history: Vec<History>,
     /// Per-tenant, per-rule firing state for edge-triggered alerts.
     firing: Vec<Vec<bool>>,
     /// Per-tenant zero-loss tripwire.
@@ -236,7 +251,7 @@ impl SloEngine {
         SloEngine {
             specs,
             rules,
-            history: vec![Vec::new(); n],
+            history: vec![History::default(); n],
             firing: vec![vec![false; r]; n],
             lost_seen: vec![false; n],
             alerts: Vec::new(),
@@ -265,7 +280,11 @@ impl SloEngine {
                 window: SimDuration::ZERO,
             });
         }
-        self.history[tenant].push(Obs { at, good });
+        let history = &mut self.history[tenant];
+        insert_sorted(&mut history.all, at);
+        if !good {
+            insert_sorted(&mut history.bad, at);
+        }
         let budget = (1.0 - spec.availability).max(1e-9);
         for r in 0..self.rules.len() {
             let rule = &self.rules[r];
@@ -298,22 +317,17 @@ impl SloEngine {
     }
 
     /// (total, bad) observations for `tenant` with time in
-    /// `(at - window, at]`. A full scan: finish times are only roughly
-    /// ordered (a later arrival can finish earlier), and histories are
-    /// short, so scanning beats maintaining a sorted structure.
+    /// `(at - window, at]`: two binary searches in each of the tenant's
+    /// sorted time lists, so the cost grows with the log of the history
+    /// rather than its length. Observations already fed with a finish
+    /// time after `at` fall outside the window, exactly as in a scan.
     fn window_counts(&self, tenant: usize, at: SimTime, window: SimDuration) -> (usize, usize) {
         let cutoff = SimTime::from_ps(at.as_ps().saturating_sub(window.as_ps()));
-        let mut n = 0;
-        let mut bad = 0;
-        for o in &self.history[tenant] {
-            if o.at > cutoff && o.at <= at {
-                n += 1;
-                if !o.good {
-                    bad += 1;
-                }
-            }
-        }
-        (n, bad)
+        let history = &self.history[tenant];
+        (
+            count_in(&history.all, cutoff, at),
+            count_in(&history.bad, cutoff, at),
+        )
     }
 
     /// Alerts fired so far, in firing order.
