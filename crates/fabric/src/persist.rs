@@ -16,17 +16,21 @@
 //!   requests are re-fenced by the service/fleet layers exactly the way
 //!   whole-device failover voids them.
 //!
-//! [`CimRuntime::power_cycle`] is the crash: capture the NV image, wipe
-//! everything volatile ([`crate::device::CimDevice::wipe_volatile`]),
-//! restore the image, and report whether the post-restore volatile
-//! state equals a fresh boot's ([`crate::device::CimDevice::volatile_pristine`]).
-//! A `false` return is a *dirty restore* — the detectable half of the
-//! recovery contract the chaos invariants pin.
+//! [`CimRuntime::power_cycle`] is the crash: move the NV state out of
+//! the runtime into an image, wipe everything volatile
+//! ([`crate::device::CimDevice::wipe_volatile`]), move the image back,
+//! and report whether the post-restore volatile state equals a fresh
+//! boot's ([`crate::device::CimDevice::volatile_pristine`]). The
+//! programmed engines and resident programs are moved, not copied:
+//! memristors keep their state through power loss, so the model pays
+//! nothing per programmed cell to carry it across. A `false` return is
+//! a *dirty restore* — the detectable half of the recovery contract the
+//! chaos invariants pin.
 
 use crate::engine::MappedProgram;
 use crate::error::{FabricError, Result};
 use crate::runtime::{CimRuntime, JobId};
-use crate::unit::UnitHealth;
+use crate::unit::{MicroUnit, UnitHealth};
 use cim_crossbar::dpe::DotProductEngine;
 
 /// The nonvolatile slice of one micro-unit.
@@ -37,10 +41,20 @@ struct UnitImage {
     dpe: Option<DotProductEngine>,
 }
 
-/// Everything that survives power loss, snapshotted from a
-/// [`CimRuntime`].
+impl UnitImage {
+    /// The unit's nonvolatile slice, holding `dpe` as its engine.
+    fn of(unit: &MicroUnit, dpe: Option<DotProductEngine>) -> Self {
+        UnitImage {
+            health: unit.health(),
+            assigned_node: unit.assigned_node(),
+            dpe,
+        }
+    }
+}
+
+/// Everything that survives power loss, taken from a [`CimRuntime`].
 ///
-/// Jobs are stored sorted by id so capture is deterministic regardless
+/// Jobs are stored sorted by id so the image is deterministic regardless
 /// of the runtime's hash-map iteration order.
 #[derive(Debug, Clone)]
 pub struct PersistentImage {
@@ -50,44 +64,61 @@ pub struct PersistentImage {
 }
 
 impl PersistentImage {
+    fn new(
+        units: Vec<UnitImage>,
+        jobs: impl IntoIterator<Item = (JobId, MappedProgram)>,
+        next_id: u64,
+    ) -> Self {
+        let mut jobs: Vec<(JobId, MappedProgram)> = jobs.into_iter().collect();
+        jobs.sort_by_key(|(id, _)| *id);
+        PersistentImage {
+            units,
+            jobs,
+            next_id,
+        }
+    }
+
     /// Snapshots the nonvolatile state of a runtime: per-unit health,
     /// assignment and programmed engine (conductances + drift/aging),
-    /// the resident programs, and the job-id allocator.
+    /// the resident programs, and the job-id allocator. The runtime is
+    /// untouched; engines and programs are copied.
     pub fn capture(rt: &CimRuntime) -> Self {
         let units = rt
             .device
             .units()
             .iter()
-            .map(|u| UnitImage {
-                health: u.health(),
-                assigned_node: u.assigned_node(),
-                dpe: u.dpe().cloned(),
-            })
+            .map(|u| UnitImage::of(u, u.dpe().cloned()))
             .collect();
-        let mut jobs: Vec<(JobId, MappedProgram)> = rt
-            .jobs
-            .iter()
-            .map(|(id, prog)| (*id, prog.clone()))
-            .collect();
-        jobs.sort_by_key(|(id, _)| *id);
-        PersistentImage {
-            units,
-            jobs,
-            next_id: rt.next_id,
-        }
+        let jobs = rt.jobs.iter().map(|(id, prog)| (*id, prog.clone()));
+        PersistentImage::new(units, jobs, rt.next_id)
     }
 
-    /// Restores the image into a runtime: every unit's nonvolatile
-    /// slice, the jobs map, and the id allocator. Volatile state is
-    /// left exactly as the caller prepared it (a recovery pass wipes it
+    /// [`capture`](Self::capture) by move: every programmed engine and
+    /// the jobs map leave the runtime for the image, so the runtime is
+    /// whole again only once the image is restored into it.
+    fn take(rt: &mut CimRuntime) -> Self {
+        let units = (0..rt.device.units().len())
+            .map(|i| {
+                let unit = rt.device.unit_mut(i);
+                let dpe = unit.take_dpe();
+                UnitImage::of(unit, dpe)
+            })
+            .collect();
+        let jobs = std::mem::take(&mut rt.jobs);
+        PersistentImage::new(units, jobs, rt.next_id)
+    }
+
+    /// Moves the image into a runtime: every unit's nonvolatile slice,
+    /// the jobs map, and the id allocator. Volatile state is left
+    /// exactly as the caller prepared it (a recovery pass wipes it
     /// first; a weakened one does not — that is what the chaos
     /// invariants detect).
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::InvalidConfig`] if the runtime's device
-    /// has a different unit count than the image was captured from.
-    pub fn restore(&self, rt: &mut CimRuntime) -> Result<()> {
+    /// has a different unit count than the image was taken from.
+    pub fn restore(self, rt: &mut CimRuntime) -> Result<()> {
         if rt.device.units().len() != self.units.len() {
             return Err(FabricError::InvalidConfig {
                 reason: format!(
@@ -97,12 +128,12 @@ impl PersistentImage {
                 ),
             });
         }
-        for (i, img) in self.units.iter().enumerate() {
+        for (i, img) in self.units.into_iter().enumerate() {
             rt.device
                 .unit_mut(i)
-                .restore_nv(img.health, img.assigned_node, img.dpe.clone());
+                .restore_nv(img.health, img.assigned_node, img.dpe);
         }
-        rt.jobs = self.jobs.iter().cloned().collect();
+        rt.jobs = self.jobs.into_iter().collect();
         rt.next_id = self.next_id;
         Ok(())
     }
@@ -131,16 +162,17 @@ impl CimRuntime {
     ///
     /// Returns [`FabricError::InvalidConfig`] on a device-shape
     /// mismatch.
-    pub fn restore_image(&mut self, image: &PersistentImage) -> Result<()> {
+    pub fn restore_image(&mut self, image: PersistentImage) -> Result<()> {
         image.restore(self)
     }
 
-    /// Simulates a power cycle: capture the NV image, wipe volatile
-    /// state (unit occupancy + assignments, NoC reservations, energy
-    /// meter, trace buffer, admission queue — the device reboots with
-    /// total run-time amnesia), then restore the NV image: health,
-    /// placements and programmed conductances come back without
-    /// reprogramming, because memristors keep them.
+    /// Simulates a power cycle: move the NV state out into an image,
+    /// wipe volatile state (unit occupancy + assignments, NoC
+    /// reservations, energy meter, trace buffer, admission queue — the
+    /// device reboots with total run-time amnesia), then move the image
+    /// back: health, placements and programmed conductances (with each
+    /// array's read-noise stream where it left off) return without
+    /// reprogramming and without a copy, because memristors keep them.
     ///
     /// Returns whether the post-restore volatile state equals a fresh
     /// boot's. With `clear_volatile` (the correct recovery pass) this
@@ -149,14 +181,14 @@ impl CimRuntime {
     /// then inherits stale occupancy and the return value (a *dirty
     /// restore*) is how the chaos invariants detect it.
     pub fn power_cycle(&mut self, clear_volatile: bool) -> bool {
-        let image = PersistentImage::capture(self);
+        let image = PersistentImage::take(self);
         if clear_volatile {
             self.device.wipe_volatile();
             self.queue.clear();
         }
         image
             .restore(self)
-            .expect("an image captured from this runtime matches its shape");
+            .expect("an image taken from this runtime matches its shape");
         let pristine = self.device.volatile_pristine();
         if clear_volatile {
             debug_assert!(
@@ -183,11 +215,15 @@ mod tests {
     use std::collections::HashMap;
 
     fn runtime() -> CimRuntime {
+        runtime_with(DpeConfig::ideal())
+    }
+
+    fn runtime_with(dpe: DpeConfig) -> CimRuntime {
         CimRuntime::new(FabricConfig {
             mesh_width: 4,
             mesh_height: 1,
             units_per_tile: 1,
-            dpe: DpeConfig::ideal(),
+            dpe,
             ..FabricConfig::default()
         })
         .expect("runtime boots")
@@ -211,36 +247,67 @@ mod tests {
 
     #[test]
     fn power_cycle_keeps_programs_and_wipes_occupancy() {
-        let mut rt = runtime();
-        let (g, s, k) = matvec_graph();
-        let job = rt
-            .submit(g, MappingPolicy::LocalityAware)
-            .expect("fits")
-            .id();
-        let input = HashMap::from([(s, vec![1.0, -0.5, 0.25, 2.0])]);
-        let before = rt
-            .run(job, std::slice::from_ref(&input), &StreamOptions::default())
-            .expect("runs")
-            .outputs[0][&k]
-            .clone();
-        assert!(!rt.device().volatile_pristine(), "the run left occupancy");
+        // The default config reads with noise: the cycled engine must
+        // carry its arrays' noise streams across exactly where they left
+        // off, so every output matches a twin that never lost power. Its
+        // 8-bit ADC can hide that noise on a 4×4 layer; a lossless ADC
+        // on the same noisy cells makes it show in every output.
+        let lossless_adc = DpeConfig {
+            adc_bits: 16,
+            ..DpeConfig::default()
+        };
+        for (dpe, noise_shows) in [
+            (DpeConfig::ideal(), false),
+            (DpeConfig::default(), false),
+            (lossless_adc, true),
+        ] {
+            let mut rt = runtime_with(dpe.clone());
+            let mut twin = runtime_with(dpe);
+            let (g, s, k) = matvec_graph();
+            let job = rt
+                .submit(g.clone(), MappingPolicy::LocalityAware)
+                .expect("fits")
+                .id();
+            assert_eq!(
+                twin.submit(g, MappingPolicy::LocalityAware)
+                    .expect("fits")
+                    .id(),
+                job
+            );
+            let input = HashMap::from([(s, vec![1.0, -0.5, 0.25, 2.0])]);
+            let output = |rt: &mut CimRuntime| {
+                rt.run(job, std::slice::from_ref(&input), &StreamOptions::default())
+                    .expect("runs")
+                    .outputs[0][&k]
+                    .clone()
+            };
+            assert_eq!(output(&mut rt), output(&mut twin));
+            assert!(!rt.device().volatile_pristine(), "the run left occupancy");
 
-        let image = rt.capture_image();
-        assert_eq!(image.resident_jobs(), 1);
-        assert_eq!(image.programmed_units(), 1, "one matvec engine persists");
+            let image = rt.capture_image();
+            assert_eq!(image.resident_jobs(), 1);
+            assert_eq!(image.programmed_units(), 1, "one matvec engine persists");
 
-        assert!(rt.power_cycle(true), "clean restore is pristine");
-        assert!(rt.device().volatile_pristine());
-        assert_eq!(rt.running_jobs(), vec![job], "resident program survives");
+            assert!(rt.power_cycle(true), "clean restore is pristine");
+            assert!(rt.device().volatile_pristine());
+            assert_eq!(rt.running_jobs(), vec![job], "resident program survives");
+            assert_eq!(rt.capture_image().programmed_units(), 1);
 
-        // The programmed conductances came back without reprogramming:
-        // the same input produces the same output.
-        let after = rt
-            .run(job, &[input], &StreamOptions::default())
-            .expect("runs after restart")
-            .outputs[0][&k]
-            .clone();
-        assert_eq!(before, after, "NV conductances survive the crash");
+            // The programmed conductances came back without
+            // reprogramming: outputs after the crash equal the uncycled
+            // twin's, bit for bit.
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut seen = Vec::new();
+            for _ in 0..3 {
+                let (after, uncycled) = (output(&mut rt), output(&mut twin));
+                assert_eq!(bits(&after), bits(&uncycled), "NV state survives the crash");
+                seen.push(bits(&after));
+            }
+            seen.dedup();
+            if noise_shows {
+                assert_eq!(seen.len(), 3, "read noise shows in every output");
+            }
+        }
     }
 
     #[test]
@@ -300,6 +367,6 @@ mod tests {
             ..FabricConfig::default()
         })
         .expect("boots");
-        assert!(other.restore_image(&image).is_err());
+        assert!(other.restore_image(image).is_err());
     }
 }

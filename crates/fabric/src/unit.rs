@@ -280,6 +280,12 @@ impl MicroUnit {
         self.dpe = dpe;
     }
 
+    /// Moves the programmed analog engine out, leaving the unit without
+    /// one; the power-cycle pass carries it across the wipe this way.
+    pub(crate) fn take_dpe(&mut self) -> Option<DotProductEngine> {
+        self.dpe.take()
+    }
+
     /// Whether this unit's volatile (run-time) state matches a fresh
     /// boot: no busy horizon, no accumulated load, no processed items.
     pub(crate) fn volatile_pristine(&self) -> bool {
