@@ -226,7 +226,8 @@ struct MatvecScratch {
     /// The quantized input's positive and negative magnitudes, one
     /// entry per matrix row each.
     mags: [Vec<u64>; 2],
-    /// One row tile's DAC drive levels for the current digit.
+    /// One row tile's DAC drive levels for the current digit (detailed
+    /// tier only: the analytic tier counts active rows from `mags`).
     levels: Vec<u16>,
     /// One array's column sums.
     sums: Vec<f64>,
@@ -494,16 +495,11 @@ impl DotProductEngine {
                 let mut phase_active = false;
                 let phase_start_fj = array_fj + dac_fj + adc_fj + digital_fj;
                 for rt in 0..row_tiles {
-                    scratch.levels.clear();
-                    scratch.levels.extend((0..ar).map(|r| {
-                        let i = rt * ar + r;
-                        if i < self.matrix_rows {
-                            ((mags[i] >> shift) & (digit_base - 1)) as u16
-                        } else {
-                            0
-                        }
-                    }));
-                    let active = scratch.levels.iter().filter(|&&l| l != 0).count();
+                    // The tile's real rows; padding rows past the matrix
+                    // are always driven at level 0.
+                    let rows = &mags[rt * ar..((rt + 1) * ar).min(self.matrix_rows)];
+                    let digit = |m: u64| ((m >> shift) & (digit_base - 1)) as u16;
+                    let active = rows.iter().filter(|&&m| digit(m) != 0).count();
                     if active == 0 {
                         continue;
                     }
@@ -533,6 +529,9 @@ impl DotProductEngine {
                         dac_drives += active as u64 * n_arr;
                         continue;
                     }
+                    scratch.levels.clear();
+                    scratch.levels.extend(rows.iter().map(|&m| digit(m)));
+                    scratch.levels.resize(ar, 0);
                     for ct in 0..col_tiles {
                         // Only the columns the engine returns are
                         // converted; a padding column's code never
@@ -1194,26 +1193,43 @@ mod tests {
     #[test]
     fn analytic_cost_is_integer_identical_to_detailed() {
         use cim_sim::analytic::SimMode;
+        use cim_sim::telemetry::{Telemetry, TelemetryLevel};
         // Tiled, noisy config with mixed-sign inputs: the hardest case
         // for the closed form — phase skipping, partial row tiles,
-        // multi-bit DACs all in play.
+        // multi-bit DACs all in play. The all-zero input skips every
+        // phase.
         let w = DenseMatrix::from_fn(200, 150, |r, c| (((r + 2 * c) % 19) as f64 / 19.0) - 0.5);
         let x: Vec<f64> = (0..200).map(|i| ((i % 13) as f64 / 13.0) - 0.4).collect();
-        for config in [DpeConfig::default(), DpeConfig::noise_free()] {
-            let mut det = engine(config.clone());
-            det.program(&w).unwrap();
-            let d = det.matvec(&x).unwrap();
-            let mut ana = engine(config);
-            ana.set_mode(SimMode::Analytic);
-            assert_eq!(ana.mode(), SimMode::Analytic);
-            ana.program(&w).unwrap();
-            let a = ana.matvec(&x).unwrap();
-            assert_eq!(a.cost.latency, d.cost.latency, "latency must match exactly");
-            assert_eq!(
-                a.cost.energy.as_fj(),
-                d.cost.energy.as_fj(),
-                "energy must match exactly"
-            );
+        let zero = vec![0.0; 200];
+        let two_bit_dac = DpeConfig {
+            dac_bits: 2,
+            ..DpeConfig::default()
+        };
+        for config in [DpeConfig::default(), DpeConfig::noise_free(), two_bit_dac] {
+            let run = |mode: SimMode| {
+                let mut dpe = engine(config.clone());
+                dpe.set_mode(mode);
+                assert_eq!(dpe.mode(), mode);
+                let t = Telemetry::new(TelemetryLevel::Metrics);
+                dpe.attach_telemetry(&t, "mu0");
+                dpe.program(&w).unwrap();
+                let costs = [&x, &zero].map(|x| dpe.matvec(x).unwrap().cost);
+                (costs, t.export_jsonl())
+            };
+            let (d, d_tel) = run(SimMode::Detailed);
+            let (a, a_tel) = run(SimMode::Analytic);
+            for (a, d) in a.iter().zip(&d) {
+                assert_eq!(a.latency, d.latency, "latency must match exactly");
+                assert_eq!(
+                    a.energy.as_fj(),
+                    d.energy.as_fj(),
+                    "energy must match exactly"
+                );
+            }
+            // Read phases, conversions, drives and the per-phase energy
+            // histogram, byte for byte.
+            assert!(a_tel.contains("\"metric\":\"phase_energy_fj\""), "{a_tel}");
+            assert_eq!(a_tel, d_tel, "telemetry exports must match exactly");
         }
     }
 
