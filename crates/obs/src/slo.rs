@@ -168,6 +168,13 @@ impl AlertEvent {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("alert line missing numeric \"{key}\""))
         };
+        // Picosecond stamps must be exact non-negative integers: a cast
+        // would read -5 as 0 and 1.5 as 1, which no line renders.
+        let ps = |key: &str| {
+            v.get(key).and_then(Json::as_u64).ok_or_else(|| {
+                format!("alert line needs \"{key}\" as a non-negative integer below 2^53")
+            })
+        };
         let severity = v
             .get("severity")
             .and_then(Json::as_str)
@@ -179,12 +186,12 @@ impl AlertEvent {
             .ok_or("alert line missing tenant")?
             .to_owned();
         Ok(AlertEvent {
-            at: SimTime::from_ps(num("t_ps")? as u64),
+            at: SimTime::from_ps(ps("t_ps")?),
             tenant,
             rule,
             severity,
             burn_rate: num("value")?,
-            window: SimDuration::from_ps(num("window_ps")? as u64),
+            window: SimDuration::from_ps(ps("window_ps")?),
         })
     }
 
@@ -454,6 +461,32 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(back.to_jsonl_line(), line);
         assert!(AlertEvent::parse_jsonl_line("{\"metric\":\"event/x\"}").is_err());
+    }
+
+    #[test]
+    fn alert_lines_with_inexact_stamps_are_rejected() {
+        let line = AlertEvent {
+            at: SimTime::from_ps(7),
+            tenant: "t".to_owned(),
+            rule: "page_burn".to_owned(),
+            severity: AlertSeverity::Page,
+            burn_rate: 2.5,
+            window: SimDuration::from_ps(1000),
+        }
+        .to_jsonl_line();
+        assert!(AlertEvent::parse_jsonl_line(&line).is_ok());
+        for (field, bad) in [
+            ("\"t_ps\":7", "\"t_ps\":-5"),
+            ("\"t_ps\":7", "\"t_ps\":1.5"),
+            ("\"t_ps\":7", "\"t_ps\":1e30"),
+            ("\"window_ps\":1000", "\"window_ps\":-1"),
+            ("\"window_ps\":1000", "\"window_ps\":\"1000\""),
+        ] {
+            let mutated = line.replace(field, bad);
+            assert_ne!(mutated, line);
+            let err = AlertEvent::parse_jsonl_line(&mutated);
+            assert!(err.is_err(), "{mutated} parsed as {err:?}");
+        }
     }
 
     /// The reference engine: the same rules, with every window counted
