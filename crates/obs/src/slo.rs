@@ -326,8 +326,8 @@ impl SloEngine {
     /// (total, bad) observations for `tenant` with time in
     /// `(at - window, at]`: two binary searches in each of the tenant's
     /// sorted time lists, so the cost grows with the log of the history
-    /// rather than its length. Observations already fed with a finish
-    /// time after `at` fall outside the window, exactly as in a scan.
+    /// rather than its length. Observations already fed with a later
+    /// finish time fall outside the window.
     fn window_counts(&self, tenant: usize, at: SimTime, window: SimDuration) -> (usize, usize) {
         let cutoff = SimTime::from_ps(at.as_ps().saturating_sub(window.as_ps()));
         let history = &self.history[tenant];
