@@ -131,27 +131,16 @@ impl MemristorCell {
             return;
         }
         self.target_level = level;
-        let noise = if params.program_sigma > 0.0 && level > 0 {
-            normal(rng, 0.0, params.program_sigma * f64::from(level))
-        } else {
-            0.0
-        };
-        self.conductance = (f64::from(level) + noise).clamp(0.0, f64::from(params.max_level()));
-    }
-
-    /// The conductance a read sees before noise: the stored value, or the
-    /// rail a stuck fault pins the cell to.
-    pub(crate) fn effective_conductance(&self, params: &DeviceParams) -> f64 {
-        match self.fault {
-            CellFault::None => self.conductance,
-            CellFault::StuckOff => 0.0,
-            CellFault::StuckOn => f64::from(params.max_level()),
-        }
+        self.conductance = programmed_conductance(level, params, rng);
     }
 
     /// Reads the effective conductance, applying read noise and faults.
     pub fn read<R: Rng + ?Sized>(&self, params: &DeviceParams, rng: &mut R) -> f64 {
-        read_with_noise(self.effective_conductance(params), params, rng)
+        read_with_noise(
+            effective_conductance(self.conductance, self.fault, params),
+            params,
+            rng,
+        )
     }
 
     /// The level the cell was last asked to store.
@@ -182,10 +171,50 @@ impl MemristorCell {
     ///
     /// Panics if arguments are negative.
     pub fn drift(&mut self, relative_age: f64, drift_fraction: f64) {
-        assert!(relative_age >= 0.0 && drift_fraction >= 0.0);
-        let factor = (1.0 - drift_fraction * relative_age).max(0.0);
-        self.conductance *= factor;
+        self.conductance *= drift_factor(relative_age, drift_fraction);
     }
+}
+
+/// The conductance a fault-free cell holds after a program to `level`:
+/// the level plus relative write variation, clamped to the device range.
+/// Noise is drawn only when both `program_sigma` and `level` are positive,
+/// so a program to level 0 leaves exactly +0.0 and `rng` untouched.
+pub(crate) fn programmed_conductance<R: Rng + ?Sized>(
+    level: u16,
+    params: &DeviceParams,
+    rng: &mut R,
+) -> f64 {
+    let noise = if params.program_sigma > 0.0 && level > 0 {
+        normal(rng, 0.0, params.program_sigma * f64::from(level))
+    } else {
+        0.0
+    };
+    (f64::from(level) + noise).clamp(0.0, f64::from(params.max_level()))
+}
+
+/// The conductance a read sees before noise: the stored value, or the
+/// rail a stuck fault pins the cell to.
+#[inline]
+pub(crate) fn effective_conductance(
+    conductance: f64,
+    fault: CellFault,
+    params: &DeviceParams,
+) -> f64 {
+    match fault {
+        CellFault::None => conductance,
+        CellFault::StuckOff => 0.0,
+        CellFault::StuckOn => f64::from(params.max_level()),
+    }
+}
+
+/// The factor [`MemristorCell::drift`] scales a conductance by.
+///
+/// # Panics
+///
+/// Panics if arguments are negative.
+pub(crate) fn drift_factor(relative_age: f64, drift_fraction: f64) -> f64 {
+    assert!(relative_age >= 0.0 && drift_fraction >= 0.0);
+    (1.0 - drift_fraction * relative_age).max(0.0)
 }
 
 /// One read of a cell whose effective conductance is `g`. Noise is drawn

@@ -20,7 +20,7 @@ use crate::array::{CrossbarArray, OpCost};
 use crate::device::DeviceParams;
 use crate::error::{CrossbarError, Result};
 use crate::matrix::DenseMatrix;
-use crate::quant::{split_slices, Quantizer};
+use crate::quant::Quantizer;
 use cim_sim::analytic::SimMode;
 use cim_sim::calib::dpe as cal;
 use cim_sim::energy::Energy;
@@ -328,33 +328,41 @@ impl DotProductEngine {
         let row_tiles = weights.rows().div_ceil(ar);
         let col_tiles = weights.cols().div_ceil(ac);
         let slices = self.config.slices();
+        let cell_bits = self.config.device.bits;
+        let slice_mask = (1u64 << cell_bits) - 1;
         let mut cost = OpCost::default();
 
+        // One array's level matrix, reused: only the tile's real rows and
+        // columns are written. Padding quantizes to level 0, which leaves
+        // a cell pristine, so it is cleared once per tile.
+        let mut levels = vec![0u16; ar * ac];
+        let mut q = Vec::new();
         let mut all = Vec::with_capacity(row_tiles);
         for rt in 0..row_tiles {
             let mut row = Vec::with_capacity(col_tiles);
             for ct in 0..col_tiles {
-                let tile = weights.tile(rt * ar, ct * ac, ar, ac);
+                let (r0, c0) = (rt * ar, ct * ac);
+                let (h, w) = ((weights.rows() - r0).min(ar), (weights.cols() - c0).min(ac));
+                // Quantize the tile once; each array takes one sign and
+                // one slice of the magnitudes (little-endian slices).
+                q.clear();
+                for r in 0..h {
+                    q.extend((0..w).map(|c| wq.quantize(weights.get(r0 + r, c0 + c))));
+                }
+                levels.fill(0);
                 let mut pair: [Vec<CrossbarArray>; 2] = [Vec::new(), Vec::new()];
-                // Quantize the tile once, split by sign and slice.
-                let mut pos_levels = vec![vec![0u16; ar * ac]; slices];
-                let mut neg_levels = vec![vec![0u16; ar * ac]; slices];
-                for r in 0..ar {
-                    for c in 0..ac {
-                        let q = wq.quantize(tile.get(r, c));
-                        let mag = q.unsigned_abs();
-                        let sl = split_slices(mag, self.config.device.bits, slices);
-                        for (s, &lv) in sl.iter().enumerate() {
-                            if q >= 0 {
-                                pos_levels[s][r * ac + c] = lv;
-                            } else {
-                                neg_levels[s][r * ac + c] = lv;
+                for (sign, stack) in pair.iter_mut().enumerate() {
+                    for s in 0..slices {
+                        let shift = s as u32 * cell_bits;
+                        for (r, qs) in q.chunks_exact(w).enumerate() {
+                            for (lv, &v) in levels[r * ac..r * ac + w].iter_mut().zip(qs) {
+                                *lv = if (v < 0) == (sign == 1) {
+                                    ((v.unsigned_abs() >> shift) & slice_mask) as u16
+                                } else {
+                                    0
+                                };
                             }
                         }
-                    }
-                }
-                for (sign, levels) in [(0usize, &pos_levels), (1usize, &neg_levels)] {
-                    for (s, lv) in levels.iter().enumerate() {
                         let seeds = self
                             .seeds
                             .child("dpe-array")
@@ -364,9 +372,9 @@ impl DotProductEngine {
                             CrossbarArray::new(ar, ac, self.config.device.clone(), seeds);
                         // All arrays program in parallel (independent write
                         // drivers): latency joins, energy adds.
-                        let c = xbar.program_levels(lv)?;
+                        let c = xbar.program_levels(&levels)?;
                         cost = cost.join_parallel(c);
-                        pair[sign].push(xbar);
+                        stack.push(xbar);
                     }
                 }
                 row.push(pair);

@@ -43,27 +43,28 @@ impl FaultCampaign {
     }
 
     /// Injects faults into every array of a programmed engine; returns the
-    /// number of cells faulted.
+    /// number of cells faulted. Each array's cells are drawn in row-major
+    /// order and its faults merged into it as one batch.
     pub fn inject(&self, dpe: &mut DotProductEngine, seeds: SeedTree) -> usize {
         let mut rng = seeds.rng("fault-campaign");
         let mut injected = 0;
         let rate = self.cell_fault_rate;
         let on_frac = self.stuck_on_fraction;
+        let mut batch = Vec::new();
         dpe.for_each_array(|_, _, _, _, xbar| {
-            let (rows, cols) = (xbar.rows(), xbar.cols());
-            for r in 0..rows {
-                for c in 0..cols {
-                    if rng.gen::<f64>() < rate {
-                        let fault = if rng.gen::<f64>() < on_frac {
-                            CellFault::StuckOn
-                        } else {
-                            CellFault::StuckOff
-                        };
-                        xbar.inject_fault(r, c, fault).expect("in-bounds");
-                        injected += 1;
-                    }
+            batch.clear();
+            for idx in 0..(xbar.rows() * xbar.cols()) as u32 {
+                if rng.gen::<f64>() < rate {
+                    let fault = if rng.gen::<f64>() < on_frac {
+                        CellFault::StuckOn
+                    } else {
+                        CellFault::StuckOff
+                    };
+                    batch.push((idx, fault));
                 }
             }
+            injected += batch.len();
+            xbar.merge_faults(&batch);
         });
         injected
     }
@@ -147,6 +148,47 @@ mod tests {
         let out = dpe.matvec(&x).unwrap();
         let exact = w.matvec(&x).unwrap();
         assert!(normalized_rmse(&out.values, &exact) > 0.0);
+    }
+
+    #[test]
+    fn batched_injection_equals_per_cell_injection() {
+        // A noisy engine, so reads see every fault through the live table.
+        let w = DenseMatrix::from_fn(64, 32, |r, c| (((r + c) % 13) as f64 / 13.0) - 0.4);
+        let mut batched = DotProductEngine::new(DpeConfig::default(), SeedTree::new(11));
+        batched.program(&w).unwrap();
+        let mut per_cell = batched.clone();
+        // Same seed, higher rate: the second campaign also lands on cells
+        // the first already faulted.
+        for rate in [0.01, 0.05] {
+            let seed = 5;
+            let campaign = FaultCampaign::new(rate, 0.5);
+            let n = campaign.inject(&mut batched, SeedTree::new(seed));
+            let mut rng = SeedTree::new(seed).rng("fault-campaign");
+            let mut m = 0;
+            per_cell.for_each_array(|_, _, _, _, xbar| {
+                for r in 0..xbar.rows() {
+                    for c in 0..xbar.cols() {
+                        if rng.gen::<f64>() < rate {
+                            let fault = if rng.gen::<f64>() < 0.5 {
+                                CellFault::StuckOn
+                            } else {
+                                CellFault::StuckOff
+                            };
+                            xbar.inject_fault(r, c, fault).unwrap();
+                            m += 1;
+                        }
+                    }
+                }
+            });
+            assert_eq!(n, m);
+        }
+        let mut counts = [Vec::new(), Vec::new()];
+        for (dpe, counts) in [&mut batched, &mut per_cell].into_iter().zip(&mut counts) {
+            dpe.for_each_array(|_, _, _, _, xbar| counts.push(xbar.fault_count()));
+        }
+        assert_eq!(counts[0], counts[1]);
+        let x: Vec<f64> = (0..64).map(|i| ((i % 7) as f64 / 7.0) - 0.3).collect();
+        assert_eq!(batched.matvec(&x).unwrap(), per_cell.matvec(&x).unwrap());
     }
 
     #[test]
