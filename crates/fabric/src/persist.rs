@@ -12,7 +12,7 @@
 //!   and its id allocator.
 //! - **Volatile** (lost on power loss): unit occupancy and busy
 //!   horizons, NoC reservations and backlog gauges, the energy meter,
-//!   the trace buffer, and the runtime's admission queue. In-flight
+//!   and the runtime's admission queue. In-flight
 //!   requests are re-fenced by the service/fleet layers exactly the way
 //!   whole-device failover voids them.
 //!
@@ -168,7 +168,7 @@ impl CimRuntime {
 
     /// Simulates a power cycle: move the NV state out into an image,
     /// wipe volatile state (unit occupancy + assignments, NoC
-    /// reservations, energy meter, trace buffer, admission queue — the
+    /// reservations, energy meter, admission queue — the
     /// device reboots with total run-time amnesia), then move the image
     /// back: health, placements and programmed conductances (with each
     /// array's read-noise stream where it left off) return without

@@ -1,9 +1,9 @@
 //! # cim-sim — simulation substrate for the CIM reproduction
 //!
 //! Picosecond time and femtojoule energy accounting, statistics,
-//! deterministic random-number streams, telemetry and a bounded trace
-//! log, the analytic (closed-form) tier, and the calibration constants
-//! every platform model (crossbar, NoC, CPU, GPU, cluster) is built on.
+//! deterministic random-number streams, telemetry, the analytic
+//! (closed-form) tier, and the calibration constants every platform
+//! model (crossbar, NoC, CPU, GPU, cluster) is built on.
 //!
 //! This crate is the bottom of the dependency graph for the reproduction of
 //! *Computing In-Memory, Revisited* (Milojicic et al., ICDCS 2018). The
@@ -48,7 +48,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use analytic::SimMode;
 pub use energy::{Energy, EnergyMeter, Power};
@@ -56,4 +55,3 @@ pub use rng::SeedTree;
 pub use stats::{Counter, Log2Histogram, Samples, Summary};
 pub use telemetry::{ComponentId, MetricsRegistry, SpanId, SpanTracer, Telemetry, TelemetryLevel};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceLevel, TraceRecord};
