@@ -288,7 +288,8 @@ BENCH_SAMPLES=10 BENCH_WARMUP_MS=20 \
     cargo bench --offline -p cim-bench --bench serving | tee "$ART/BENCH_serving.json"
 cargo run --release --offline -p cim-bench --bin bench_compare -- \
     --validate "$ART/BENCH_serving.json" \
-    --expect serving/open_loop_light_100k --expect serving/open_loop_overload_3200k
+    --expect serving/open_loop_light_100k --expect serving/open_loop_overload_3200k \
+    --expect serving/boot_standard_mix
 
 step "bench: two-tier serving wall-clock"
 BENCH_SAMPLES=10 BENCH_WARMUP_MS=20 \

@@ -1,17 +1,21 @@
 //! Serving-layer throughput — the recorded baseline for the request
 //! front-end (`BENCH_serving.json`).
 //!
-//! Times a full open-loop serving run (admission, dispatch, SLO
-//! accounting) at a light-load and an overload operating point. Wall
-//! clock is the only thing that varies between machines; the modeled
-//! serving numbers are bit-identical everywhere.
+//! Times a full open-loop serving run (boot, admission, dispatch, SLO
+//! accounting) at a light-load and an overload operating point, and the
+//! boot those runs include on its own: one standard-mix service built
+//! and its crossbars programmed, dropped untimed. Wall clock is the only
+//! thing that varies between machines; the modeled serving numbers are
+//! bit-identical everywhere.
 //!
 //! ```text
 //! cargo bench --bench serving > BENCH_serving.json
 //! ```
 
-use cim_bench::experiments::serving::run_threads;
+use cim_bench::experiments::fleet::FleetScenario;
+use cim_bench::experiments::serving::{boot_observed, run_threads};
 use cim_bench::harness::Group;
+use cim_sim::telemetry::TelemetryLevel;
 
 const N_REQUESTS: usize = 150;
 
@@ -37,5 +41,13 @@ fn main() {
                 .admitted
         });
     }
+    // The boot each point above pays, as `run_threads` performs it.
+    let scenario = FleetScenario::single(100_000.0, N_REQUESTS, 0x5E21);
+    g.throughput(1);
+    g.bench_with_setup(
+        "boot_standard_mix",
+        || (),
+        |_| boot_observed(&scenario, TelemetryLevel::Metrics),
+    );
     g.finish();
 }
