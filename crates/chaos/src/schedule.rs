@@ -1031,4 +1031,258 @@ mod tests {
         assert!(down.to_service_event().is_none());
         assert!(down.action.is_hard_fault());
     }
+
+    #[test]
+    fn lowering_pins_every_kind_on_one_and_four_devices() {
+        use cim_sim::time::SimDuration;
+        let at = SimTime::from_ps(7);
+        let max = u16::MAX;
+        let node = |x: u16, y: u16| NodeId { x, y };
+        let on = |device: usize, event: ServiceEvent| FleetEvent::Device { device, event };
+        let inject = |kind: InjectionKind| ServiceEvent::Inject { at, kind };
+        // (action, lowering on 1 device, lowering on 4 devices), 16
+        // units per device; one row per action kind. Linear unit u
+        // lands on device (u / 16) % n as local unit u % 16; mesh
+        // coordinates pick device (sum of coordinates) % n; device
+        // indices wrap modulo n.
+        let cases = [
+            (
+                ChaosAction::FailUnit { unit: 21 },
+                on(0, ServiceEvent::FailUnit { at, unit: 5 }),
+                on(1, ServiceEvent::FailUnit { at, unit: 5 }),
+            ),
+            (
+                ChaosAction::RepairUnit { unit: max },
+                on(0, ServiceEvent::RepairUnit { at, unit: 15 }),
+                on(3, ServiceEvent::RepairUnit { at, unit: 15 }),
+            ),
+            (
+                ChaosAction::FailLink {
+                    ax: 7,
+                    ay: 0,
+                    bx: 300,
+                    by: max,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::FailLink {
+                        a: node(7, 0),
+                        b: node(300, max),
+                    }),
+                ),
+                on(
+                    2,
+                    inject(InjectionKind::FailLink {
+                        a: node(7, 0),
+                        b: node(300, max),
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::RepairLink {
+                    ax: 4,
+                    ay: 3,
+                    bx: 5,
+                    by: 3,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::RepairLink {
+                        a: node(4, 3),
+                        b: node(5, 3),
+                    }),
+                ),
+                on(
+                    3,
+                    inject(InjectionKind::RepairLink {
+                        a: node(4, 3),
+                        b: node(5, 3),
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::CellFaults {
+                    unit: 0,
+                    rate_ppm: u32::MAX,
+                    stuck_on_ppm: 1,
+                    seed: u32::MAX,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::CellFaults {
+                        unit: 0,
+                        rate_ppm: u32::MAX,
+                        stuck_on_ppm: 1,
+                        seed: u64::from(u32::MAX),
+                    }),
+                ),
+                on(
+                    0,
+                    inject(InjectionKind::CellFaults {
+                        unit: 0,
+                        rate_ppm: u32::MAX,
+                        stuck_on_ppm: 1,
+                        seed: u64::from(u32::MAX),
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::DriftSpike {
+                    unit: max,
+                    drift_ppm: 250,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::DriftSpike {
+                        unit: 15,
+                        drift_ppm: 250,
+                    }),
+                ),
+                on(
+                    3,
+                    inject(InjectionKind::DriftSpike {
+                        unit: 15,
+                        drift_ppm: 250,
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::Congestion {
+                    ax: 9,
+                    ay: 9,
+                    bx: max,
+                    by: 0,
+                    packets: max,
+                    bytes: 0,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::Congestion {
+                        from: node(9, 9),
+                        to: node(max, 0),
+                        packets: max,
+                        bytes: 0,
+                    }),
+                ),
+                on(
+                    1,
+                    inject(InjectionKind::Congestion {
+                        from: node(9, 9),
+                        to: node(max, 0),
+                        packets: max,
+                        bytes: 0,
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::ArrivalBurst { extra: max },
+                FleetEvent::ArrivalBurst { at, extra: max },
+                FleetEvent::ArrivalBurst { at, extra: max },
+            ),
+            (
+                ChaosAction::DeviceDown { device: 9 },
+                FleetEvent::DeviceDown { at, device: 0 },
+                FleetEvent::DeviceDown { at, device: 1 },
+            ),
+            (
+                ChaosAction::DeviceUp { device: 9 },
+                FleetEvent::DeviceUp { at, device: 0 },
+                FleetEvent::DeviceUp { at, device: 1 },
+            ),
+            (
+                ChaosAction::PowerLoss {
+                    device: 9,
+                    restart_after_ps: u32::MAX,
+                },
+                FleetEvent::PowerLoss {
+                    at,
+                    device: 0,
+                    restart_after: SimDuration::from_ps(u64::from(u32::MAX)),
+                },
+                FleetEvent::PowerLoss {
+                    at,
+                    device: 1,
+                    restart_after: SimDuration::from_ps(u64::from(u32::MAX)),
+                },
+            ),
+            (
+                ChaosAction::ForgeToken { unit: 21 },
+                on(0, inject(InjectionKind::TokenForge { unit: 5 })),
+                on(1, inject(InjectionKind::TokenForge { unit: 5 })),
+            ),
+            (
+                ChaosAction::ReplayToken {
+                    unit: 0,
+                    age_ps: u32::MAX,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::TokenReplay {
+                        unit: 0,
+                        age_ps: u64::from(u32::MAX),
+                    }),
+                ),
+                on(
+                    0,
+                    inject(InjectionKind::TokenReplay {
+                        unit: 0,
+                        age_ps: u64::from(u32::MAX),
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::CrossPartitionScan {
+                    vx: 6,
+                    vy: max,
+                    packets: 3,
+                    bytes: 64,
+                },
+                on(
+                    0,
+                    inject(InjectionKind::CrossPartitionScan {
+                        victim: node(6, max),
+                        packets: 3,
+                        bytes: 64,
+                    }),
+                ),
+                on(
+                    1,
+                    inject(InjectionKind::CrossPartitionScan {
+                        victim: node(6, max),
+                        packets: 3,
+                        bytes: 64,
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::HostileSelfProg { seed: u32::MAX },
+                on(
+                    0,
+                    inject(InjectionKind::HostileSelfProg {
+                        seed: u64::from(u32::MAX),
+                    }),
+                ),
+                on(
+                    3,
+                    inject(InjectionKind::HostileSelfProg {
+                        seed: u64::from(u32::MAX),
+                    }),
+                ),
+            ),
+            (
+                ChaosAction::HostileDataflow { seed: 6 },
+                on(0, inject(InjectionKind::HostileDataflow { seed: 6 })),
+                on(2, inject(InjectionKind::HostileDataflow { seed: 6 })),
+            ),
+        ];
+        let mut kinds: Vec<&str> = cases.iter().map(|(a, ..)| a.kind_name()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 16, "one row per action kind");
+        for (action, one, four) in cases {
+            let ev = ChaosEvent { at_ps: 7, action };
+            assert_eq!(ev.to_fleet_event(1, 16), one, "{action:?} on 1 device");
+            assert_eq!(ev.to_fleet_event(4, 16), four, "{action:?} on 4 devices");
+        }
+    }
 }
