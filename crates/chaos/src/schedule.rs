@@ -6,15 +6,16 @@
 //! [`Shrink`] trait (the orphan rule forbids implementing `cim_sim`'s
 //! trait for `cim_fabric`'s type) and serialize to one JSON line per
 //! event. [`ChaosSchedule::to_fleet_events`] lowers a schedule onto the
-//! fabric's event machinery at run time, device-local actions through
-//! [`ChaosEvent::to_service_event`].
+//! fabric's event machinery at run time, building each [`FleetEvent`]
+//! directly (device-local actions as [`FleetEvent::Device`]); a
+//! single-device harness is a fleet of one.
 
 use cim_fabric::engine::InjectionKind;
 use cim_fabric::fleet::FleetEvent;
 use cim_fabric::service::ServiceEvent;
 use cim_noc::packet::NodeId;
 use cim_sim::prop::Shrink;
-use cim_sim::time::SimTime;
+use cim_sim::time::{SimDuration, SimTime};
 
 /// One layer-spanning fault action, with all coordinates flattened to
 /// integers so the whole event is `Copy + Eq` and trivially shrinkable
@@ -100,10 +101,10 @@ pub enum ChaosAction {
         /// Simultaneous arrivals beyond the first.
         extra: u16,
     },
-    /// Whole-device outage (fleet runs only): device `device` is fenced
-    /// from routing and every request caught on it fails over. On a
-    /// single-device harness this action does not lower (no service
-    /// event), so shrunk single-device schedules stay runnable.
+    /// Whole-device outage (generated for fleet runs only): device
+    /// `device` is fenced from routing and every request caught on it
+    /// fails over. On a single-device harness it lowers to an outage of
+    /// device 0.
     DeviceDown {
         /// Fleet device index.
         device: u16,
@@ -116,10 +117,10 @@ pub enum ChaosAction {
     /// Power loss: device `device` crashes, losing all volatile state;
     /// `restart_after_ps` later it reboots through the persistence
     /// layer's recovery pass (nonvolatile conductances and resident
-    /// programs survive). On a single-device harness the device index
-    /// is ignored — the one device crashes.
+    /// programs survive). On a single-device harness the one device
+    /// crashes, whatever the index.
     PowerLoss {
-        /// Fleet device index (ignored on single-device runs).
+        /// Fleet device index, modulo the fleet.
         device: u16,
         /// Outage duration, picoseconds.
         restart_after_ps: u32,
@@ -459,55 +460,77 @@ pub struct ChaosEvent {
 }
 
 impl ChaosEvent {
-    /// Lowers this event to the service layer's event type. Fleet-only
-    /// actions ([`ChaosAction::DeviceDown`]/[`ChaosAction::DeviceUp`])
-    /// have no single-device equivalent and return `None`.
-    pub fn to_service_event(&self) -> Option<ServiceEvent> {
+    /// Lowers this event onto an `n_devices`-device fleet with
+    /// `units_per_device` micro-units per device. Unit-indexed actions
+    /// address the fleet's units linearly (`unit / units_per_device`
+    /// picks the device, the remainder is the device-local unit), mesh
+    /// coordinate actions hash their coordinates onto a device, and
+    /// device actions clamp the index modulo the fleet — so arbitrary
+    /// shrunk values always lower to something runnable. A
+    /// single-device harness is a fleet of one: everything lands on
+    /// device 0.
+    pub fn to_fleet_event(&self, n_devices: usize, units_per_device: usize) -> FleetEvent {
         let at = SimTime::from_ps(self.at_ps);
-        Some(match self.action {
-            ChaosAction::FailUnit { unit } => ServiceEvent::FailUnit {
-                at,
-                unit: usize::from(unit),
-            },
-            ChaosAction::RepairUnit { unit } => ServiceEvent::RepairUnit {
-                at,
-                unit: usize::from(unit),
-            },
-            ChaosAction::FailLink { ax, ay, bx, by } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::FailLink {
-                    a: NodeId { x: ax, y: ay },
-                    b: NodeId { x: bx, y: by },
+        let n = n_devices.max(1);
+        let per = units_per_device.max(1);
+        let node = |x: u16, y: u16| NodeId { x, y };
+        let unit_device = |unit: u16| (usize::from(unit) / per) % n;
+        let local = |unit: u16| usize::from(unit) % per;
+        let coord_device =
+            |coords: [u16; 4]| coords.into_iter().map(usize::from).sum::<usize>() % n;
+        let on = |device: usize, event: ServiceEvent| FleetEvent::Device { device, event };
+        let inject =
+            |device: usize, kind: InjectionKind| on(device, ServiceEvent::Inject { at, kind });
+        match self.action {
+            ChaosAction::FailUnit { unit } => on(
+                unit_device(unit),
+                ServiceEvent::FailUnit {
+                    at,
+                    unit: local(unit),
                 },
-            },
-            ChaosAction::RepairLink { ax, ay, bx, by } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::RepairLink {
-                    a: NodeId { x: ax, y: ay },
-                    b: NodeId { x: bx, y: by },
+            ),
+            ChaosAction::RepairUnit { unit } => on(
+                unit_device(unit),
+                ServiceEvent::RepairUnit {
+                    at,
+                    unit: local(unit),
                 },
-            },
+            ),
+            ChaosAction::FailLink { ax, ay, bx, by } => inject(
+                coord_device([ax, ay, bx, by]),
+                InjectionKind::FailLink {
+                    a: node(ax, ay),
+                    b: node(bx, by),
+                },
+            ),
+            ChaosAction::RepairLink { ax, ay, bx, by } => inject(
+                coord_device([ax, ay, bx, by]),
+                InjectionKind::RepairLink {
+                    a: node(ax, ay),
+                    b: node(bx, by),
+                },
+            ),
             ChaosAction::CellFaults {
                 unit,
                 rate_ppm,
                 stuck_on_ppm,
                 seed,
-            } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::CellFaults {
-                    unit: usize::from(unit),
+            } => inject(
+                unit_device(unit),
+                InjectionKind::CellFaults {
+                    unit: local(unit),
                     rate_ppm,
                     stuck_on_ppm,
                     seed: u64::from(seed),
                 },
-            },
-            ChaosAction::DriftSpike { unit, drift_ppm } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::DriftSpike {
-                    unit: usize::from(unit),
+            ),
+            ChaosAction::DriftSpike { unit, drift_ppm } => inject(
+                unit_device(unit),
+                InjectionKind::DriftSpike {
+                    unit: local(unit),
                     drift_ppm,
                 },
-            },
+            ),
             ChaosAction::Congestion {
                 ax,
                 ay,
@@ -515,95 +538,16 @@ impl ChaosEvent {
                 by,
                 packets,
                 bytes,
-            } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::Congestion {
-                    from: NodeId { x: ax, y: ay },
-                    to: NodeId { x: bx, y: by },
+            } => inject(
+                coord_device([ax, ay, bx, by]),
+                InjectionKind::Congestion {
+                    from: node(ax, ay),
+                    to: node(bx, by),
                     packets,
                     bytes,
                 },
-            },
-            ChaosAction::ArrivalBurst { extra } => ServiceEvent::ArrivalBurst { at, extra },
-            ChaosAction::ForgeToken { unit } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::TokenForge {
-                    unit: usize::from(unit),
-                },
-            },
-            ChaosAction::ReplayToken { unit, age_ps } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::TokenReplay {
-                    unit: usize::from(unit),
-                    age_ps: u64::from(age_ps),
-                },
-            },
-            ChaosAction::CrossPartitionScan {
-                vx,
-                vy,
-                packets,
-                bytes,
-            } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::CrossPartitionScan {
-                    victim: NodeId { x: vx, y: vy },
-                    packets,
-                    bytes,
-                },
-            },
-            ChaosAction::HostileSelfProg { seed } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::HostileSelfProg {
-                    seed: u64::from(seed),
-                },
-            },
-            ChaosAction::HostileDataflow { seed } => ServiceEvent::Inject {
-                at,
-                kind: InjectionKind::HostileDataflow {
-                    seed: u64::from(seed),
-                },
-            },
-            // Device-local: the device index is already spent (fleet
-            // lowering turns a crash into a `FleetEvent::PowerLoss`).
-            ChaosAction::PowerLoss {
-                restart_after_ps, ..
-            } => ServiceEvent::PowerLoss {
-                at,
-                restart_after: cim_sim::time::SimDuration::from_ps(u64::from(restart_after_ps)),
-            },
-            ChaosAction::DeviceDown { .. } | ChaosAction::DeviceUp { .. } => return None,
-        })
-    }
-
-    /// Lowers this event onto an `n_devices`-device fleet with
-    /// `units_per_device` micro-units per device. Unit-indexed actions
-    /// address the fleet's units linearly (`unit / units_per_device`
-    /// picks the device, the remainder is the device-local unit), mesh
-    /// coordinate actions hash their coordinates onto a device, and
-    /// device actions clamp the index modulo the fleet — so arbitrary
-    /// shrunk values always lower to something runnable.
-    pub fn to_fleet_event(&self, n_devices: usize, units_per_device: usize) -> FleetEvent {
-        let at = SimTime::from_ps(self.at_ps);
-        let n = n_devices.max(1);
-        let per = units_per_device.max(1);
-        let coord_device = |ax: u16, ay: u16, bx: u16, by: u16| {
-            (usize::from(ax) + usize::from(ay) + usize::from(bx) + usize::from(by)) % n
-        };
-        // Unit-indexed actions: split the linear fleet index into a
-        // device and a device-local unit, then reuse the single-device
-        // lowering on the localized action.
-        let localize = |unit: u16, rewrite: &dyn Fn(u16) -> ChaosAction| -> FleetEvent {
-            let device = (usize::from(unit) / per) % n;
-            let local = (usize::from(unit) % per) as u16;
-            let event = ChaosEvent {
-                at_ps: self.at_ps,
-                action: rewrite(local),
-            }
-            .to_service_event()
-            .expect("unit-indexed actions always lower");
-            FleetEvent::Device { device, event }
-        };
-        match self.action {
+            ),
+            ChaosAction::ArrivalBurst { extra } => FleetEvent::ArrivalBurst { at, extra },
             ChaosAction::DeviceDown { device } => FleetEvent::DeviceDown {
                 at,
                 device: usize::from(device) % n,
@@ -618,54 +562,44 @@ impl ChaosEvent {
             } => FleetEvent::PowerLoss {
                 at,
                 device: usize::from(device) % n,
-                restart_after: cim_sim::time::SimDuration::from_ps(u64::from(restart_after_ps)),
+                restart_after: SimDuration::from_ps(u64::from(restart_after_ps)),
             },
-            ChaosAction::FailUnit { unit } => {
-                localize(unit, &|unit| ChaosAction::FailUnit { unit })
-            }
-            ChaosAction::RepairUnit { unit } => {
-                localize(unit, &|unit| ChaosAction::RepairUnit { unit })
-            }
-            ChaosAction::CellFaults {
-                unit,
-                rate_ppm,
-                stuck_on_ppm,
-                seed,
-            } => localize(unit, &|unit| ChaosAction::CellFaults {
-                unit,
-                rate_ppm,
-                stuck_on_ppm,
-                seed,
-            }),
-            ChaosAction::DriftSpike { unit, drift_ppm } => {
-                localize(unit, &|unit| ChaosAction::DriftSpike { unit, drift_ppm })
-            }
-            ChaosAction::FailLink { ax, ay, bx, by }
-            | ChaosAction::RepairLink { ax, ay, bx, by } => FleetEvent::Device {
-                device: coord_device(ax, ay, bx, by),
-                event: self.to_service_event().expect("link actions lower"),
-            },
-            ChaosAction::Congestion { ax, ay, bx, by, .. } => FleetEvent::Device {
-                device: coord_device(ax, ay, bx, by),
-                event: self.to_service_event().expect("congestion lowers"),
-            },
-            ChaosAction::ArrivalBurst { extra } => FleetEvent::ArrivalBurst { at, extra },
-            ChaosAction::ForgeToken { unit } => {
-                localize(unit, &|unit| ChaosAction::ForgeToken { unit })
-            }
-            ChaosAction::ReplayToken { unit, age_ps } => {
-                localize(unit, &|unit| ChaosAction::ReplayToken { unit, age_ps })
-            }
-            ChaosAction::CrossPartitionScan { vx, vy, .. } => FleetEvent::Device {
-                device: coord_device(vx, vy, 0, 0),
-                event: self.to_service_event().expect("scan actions lower"),
-            },
-            ChaosAction::HostileSelfProg { seed } | ChaosAction::HostileDataflow { seed } => {
-                FleetEvent::Device {
-                    device: seed as usize % n,
-                    event: self.to_service_event().expect("hostile programs lower"),
-                }
-            }
+            ChaosAction::ForgeToken { unit } => inject(
+                unit_device(unit),
+                InjectionKind::TokenForge { unit: local(unit) },
+            ),
+            ChaosAction::ReplayToken { unit, age_ps } => inject(
+                unit_device(unit),
+                InjectionKind::TokenReplay {
+                    unit: local(unit),
+                    age_ps: u64::from(age_ps),
+                },
+            ),
+            ChaosAction::CrossPartitionScan {
+                vx,
+                vy,
+                packets,
+                bytes,
+            } => inject(
+                coord_device([vx, vy, 0, 0]),
+                InjectionKind::CrossPartitionScan {
+                    victim: node(vx, vy),
+                    packets,
+                    bytes,
+                },
+            ),
+            ChaosAction::HostileSelfProg { seed } => inject(
+                seed as usize % n,
+                InjectionKind::HostileSelfProg {
+                    seed: u64::from(seed),
+                },
+            ),
+            ChaosAction::HostileDataflow { seed } => inject(
+                seed as usize % n,
+                InjectionKind::HostileDataflow {
+                    seed: u64::from(seed),
+                },
+            ),
         }
     }
 }
@@ -875,8 +809,12 @@ mod tests {
         assert!(ev.action.is_hard_fault());
         // Crashes lower on both harnesses: the single device crashes
         // (index ignored), the fleet clamps the index.
-        match ev.to_service_event() {
-            Some(ServiceEvent::PowerLoss { restart_after, .. }) => {
+        match ev.to_fleet_event(1, 16) {
+            FleetEvent::PowerLoss {
+                device: 0,
+                restart_after,
+                ..
+            } => {
                 assert_eq!(restart_after.as_ps(), 5_000_000);
             }
             other => panic!("unexpected lowering: {other:?}"),
@@ -920,7 +858,16 @@ mod tests {
             for cand in ev.shrink_candidates() {
                 assert_eq!(cand.action.kind_name(), action.kind_name());
             }
-            assert!(ev.to_service_event().is_some(), "attacks lower everywhere");
+            assert!(
+                matches!(
+                    ev.to_fleet_event(1, 16),
+                    FleetEvent::Device {
+                        device: 0,
+                        event: ServiceEvent::Inject { .. },
+                    }
+                ),
+                "attacks lower everywhere"
+            );
             let _ = ev.to_fleet_event(4, 16);
         }
         // Unit-indexed attacks localize like any other unit action.
@@ -1027,8 +974,11 @@ mod tests {
             down.to_fleet_event(4, 16),
             FleetEvent::DeviceDown { device: 1, .. }
         ));
-        // Device outages have no single-device lowering.
-        assert!(down.to_service_event().is_none());
+        // On a single device, an outage fences device 0.
+        assert!(matches!(
+            down.to_fleet_event(1, 16),
+            FleetEvent::DeviceDown { device: 0, .. }
+        ));
         assert!(down.action.is_hard_fault());
     }
 
