@@ -56,41 +56,27 @@ use cim_sim::analytic::QueueModel;
 use cim_sim::telemetry::{ComponentId, MetricsRegistry, Telemetry};
 use cim_sim::time::{SimDuration, SimTime};
 
+/// Sim-time sampling cadence of the time-series recorder.
+const CADENCE: SimDuration = SimDuration::from_us(10);
+
+/// Ring capacity per tracked series; the oldest points are dropped (and
+/// counted) once a series exceeds it.
+const CAPACITY: usize = 4096;
+
 /// Configuration for the observability pipeline a serving run attaches.
 ///
-/// The default tracks the serving stack's load-bearing signals (service
-/// dispositions and queue depth, engine dispatch counters, NoC traffic)
-/// and applies the Google-SRE-style multi-window burn-rate rules from
-/// [`BurnRateRule::default_rules`]. Tenant SLO specs are derived from the
-/// registered service classes when `slos` is left empty.
-#[derive(Debug, Clone)]
+/// The pipeline samples on a fixed 10 µs sim-time cadence into rings of
+/// 4096 points per series, applies the Google-SRE-style multi-window
+/// burn-rate rules from [`BurnRateRule::default_rules`], and holds each
+/// registered service class to one [`SloSpec::for_tenant`] spec
+/// (latency target = the class deadline). The default tracks the
+/// serving stack's load-bearing signals (service dispositions and queue
+/// depth, engine dispatch counters, NoC traffic).
+#[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
-    /// Sim-time sampling cadence for the time-series recorder.
-    pub cadence: SimDuration,
-    /// Ring capacity per tracked series; the oldest points are dropped
-    /// (and counted) once a series exceeds it.
-    pub capacity: usize,
     /// Metrics to sample each cadence tick. Empty means
     /// [`TrackSpec::serving_defaults`].
     pub tracks: Vec<TrackSpec>,
-    /// Burn-rate alert rules. Empty means [`BurnRateRule::default_rules`].
-    pub rules: Vec<BurnRateRule>,
-    /// Per-tenant SLO specs. Empty means one
-    /// [`SloSpec::for_tenant`]-derived spec per registered service class
-    /// (latency target = the class deadline).
-    pub slos: Vec<SloSpec>,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            cadence: SimDuration::from_us(10),
-            capacity: 4096,
-            tracks: Vec::new(),
-            rules: Vec::new(),
-            slos: Vec::new(),
-        }
-    }
 }
 
 /// What one finished request looked like to the SLO engine.
@@ -133,20 +119,11 @@ impl Observability {
         } else {
             cfg.tracks.clone()
         };
-        let rules = if cfg.rules.is_empty() {
-            BurnRateRule::default_rules()
-        } else {
-            cfg.rules.clone()
-        };
-        let slos = if cfg.slos.is_empty() {
-            tenants
-                .iter()
-                .map(|(name, deadline)| SloSpec::for_tenant(name, *deadline))
-                .collect()
-        } else {
-            cfg.slos.clone()
-        };
-        let mut recorder = TimeSeriesRecorder::new(cfg.cadence, cfg.capacity);
+        let slos = tenants
+            .iter()
+            .map(|(name, deadline)| SloSpec::for_tenant(name, *deadline))
+            .collect();
+        let mut recorder = TimeSeriesRecorder::new(CADENCE, CAPACITY);
         let mut resolved = Vec::with_capacity(tracks.len());
         for t in &tracks {
             recorder.track(&t.component, t.label);
@@ -154,7 +131,7 @@ impl Observability {
         }
         Observability {
             recorder,
-            engine: SloEngine::new(slos, rules),
+            engine: SloEngine::new(slos, BurnRateRule::default_rules()),
             resolved,
         }
     }
