@@ -56,6 +56,7 @@
 use crate::config::FabricConfig;
 use crate::engine::StreamOptions;
 use crate::error::{FabricError, Result};
+use crate::mapper::MappingPolicy;
 use crate::runtime::{CimRuntime, JobId, JobStatus};
 use crate::service::{Disposition, LatencyStats, RequestOutcome, ServiceConfig, ServiceEvent};
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
@@ -66,18 +67,6 @@ use cim_sim::telemetry::{ComponentId, Telemetry, TelemetryLevel};
 use cim_sim::time::{SimDuration, SimTime};
 use cim_sim::SeedTree;
 use std::collections::HashMap;
-
-/// How the router picks among a class's live replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// The replica with the fewest requests still in flight; ties break
-    /// round-robin on the request id so equally idle replicas share
-    /// load instead of funnelling everything to the first.
-    #[default]
-    LeastOutstanding,
-    /// Strict rotation by request id, ignoring load.
-    RoundRobin,
-}
 
 /// Fleet-level knobs on top of the per-device [`ServiceConfig`].
 #[derive(Debug, Clone)]
@@ -93,8 +82,6 @@ pub struct FleetConfig {
     pub fabric: FabricConfig,
     /// Admission/retry policy, applied per device queue.
     pub service: ServiceConfig,
-    /// Router policy.
-    pub routing: RoutingPolicy,
     /// Delay between a device dying under a request and the router
     /// re-dispatching it to a replica — the CIM failover currency:
     /// replicas are already resident, so this is detection, not state
@@ -114,7 +101,6 @@ impl Default for FleetConfig {
             replicas: 2,
             fabric: FabricConfig::default(),
             service: ServiceConfig::default(),
-            routing: RoutingPolicy::LeastOutstanding,
             failover_detect: SimDuration::from_us(2),
             keep_outcomes: true,
         }
@@ -665,9 +651,9 @@ impl CimFleet {
 
     /// Attaches the observability pipeline to subsequent
     /// [`CimFleet::run_open_loop`] calls: windowed time-series sampled
-    /// on the config's cadence, per-tenant SLO burn-rate alerting (specs
-    /// derived from registered classes when the config leaves them
-    /// empty), and the series/alert exports on [`FleetReport`]. Empty
+    /// on a fixed 10 µs sim-time cadence, per-tenant SLO burn-rate
+    /// alerting (one spec per registered class), and the series/alert
+    /// exports on [`FleetReport`]. Empty
     /// [`cim_obs::ObsConfig::tracks`] default to
     /// [`cim_obs::TrackSpec::fleet_defaults`] scoped to this fleet's
     /// device count, or to [`cim_obs::TrackSpec::serving_defaults`] on a
@@ -710,8 +696,9 @@ impl CimFleet {
         self.classes.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Registers a tenant class: loads its graph as a resident program
-    /// on [`FleetConfig::replicas`] distinct devices (the replica set,
+    /// Registers a tenant class: loads its graph as a resident program,
+    /// placed [`MappingPolicy::LocalityAware`], on
+    /// [`FleetConfig::replicas`] distinct devices (the replica set,
     /// anchored at a rotating shard cursor) and returns the class index.
     /// `weight` is the class's share of the open-loop traffic mix.
     ///
@@ -739,7 +726,7 @@ impl CimFleet {
             let free = self.devices[d].rt.free_units();
             let status = match self.devices[d]
                 .rt
-                .submit(graph.clone(), self.cfg.service.mapping)
+                .submit(graph.clone(), MappingPolicy::LocalityAware)
             {
                 Ok(s) => s,
                 Err(e) => {
@@ -781,7 +768,9 @@ impl CimFleet {
     }
 
     /// Routes one request to a live replica index, or `None` if every
-    /// replica is fenced.
+    /// replica is fenced: the replica with the fewest requests still in
+    /// flight, ties rotating on the request id so equally idle replicas
+    /// share load instead of funnelling everything to the first.
     fn route(
         &mut self,
         class: usize,
@@ -789,43 +778,22 @@ impl CimFleet {
         when: SimTime,
         outages: &[Vec<Outage>],
     ) -> Option<usize> {
-        let replicas = &self.classes[class].replicas;
         // A lone device has nothing to route between: like a single
         // service, its queue is purged only at admission.
         if self.lone() {
             return (!down_at(&outages[0], when)).then_some(0);
         }
-        let live: Vec<usize> = (0..replicas.len())
-            .filter(|&r| !down_at(&outages[replicas[r].0], when))
-            .collect();
-        if live.is_empty() {
-            return None;
-        }
+        let replicas = &self.classes[class].replicas;
+        let devices = &mut self.devices;
         let k = replicas.len();
-        match self.cfg.routing {
-            RoutingPolicy::RoundRobin => {
-                let want = (id as usize) % k;
-                // The wanted replica, or the next live one after it.
-                (0..k)
-                    .map(|off| (want + off) % k)
-                    .find(|r| live.contains(r))
-            }
-            RoutingPolicy::LeastOutstanding => {
-                // Purge departed requests so counts reflect `when`, then
-                // pick the emptiest queue; ties rotate on the request id.
-                for &r in &live {
-                    let d = self.classes[class].replicas[r].0;
-                    self.devices[d].in_flight.retain(|&dep| dep > when);
-                }
-                live.iter().copied().min_by_key(|&r| {
-                    let d = self.classes[class].replicas[r].0;
-                    (
-                        self.devices[d].in_flight.len(),
-                        (k + r - id as usize % k) % k,
-                    )
-                })
-            }
-        }
+        (0..k)
+            .filter(|&r| !down_at(&outages[replicas[r].0], when))
+            .min_by_key(|&r| {
+                // Purge departed requests so the count reflects `when`.
+                let dev = &mut devices[replicas[r].0];
+                dev.in_flight.retain(|&dep| dep > when);
+                (dev.in_flight.len(), (k + r - id as usize % k) % k)
+            })
     }
 
     /// [`CimFleet::route`], or else the replica dark from a power loss

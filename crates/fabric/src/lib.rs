@@ -18,11 +18,10 @@
 //! | [`security`] | §IV.A |
 //! | [`virt`] | §IV.B |
 //! | [`resman`] | §IV.C + §III.B dynamic dataflow |
-//! | [`replicate`] | §VI scale-out (replicated devices, host-parallel) |
 //! | [`runtime`] | §III.E run-times and operating systems |
 //! | [`persist`] | nonvolatility exploited — crash persistence + power-loss recovery |
 //! | [`service`](mod@service) | §III.E serving front-end + §V.A retry |
-//! | [`fleet`](mod@fleet) | §IV.B/C at fleet scale — router, device failover (Table 1) |
+//! | [`fleet`](mod@fleet) | §IV.B/C at fleet scale — router, device failover (Table 1); §VI scale-out across devices |
 //! | [`reliability`] | §V.A |
 //! | [`self_prog`] | §III.B self-programmable dataflow |
 //! | [`serviceability`] | §V.D graceful aging and self-healing |
@@ -74,7 +73,6 @@ pub mod integration;
 pub mod mapper;
 pub mod persist;
 pub mod reliability;
-pub mod replicate;
 pub mod resman;
 pub mod runtime;
 pub mod security;
@@ -88,12 +86,11 @@ pub use config::FabricConfig;
 pub use device::CimDevice;
 pub use engine::{MappedProgram, RecoveryEvent, StreamOptions, StreamReport};
 pub use error::{FabricError, Result};
-pub use fleet::{CimFleet, DeviceLoad, FleetConfig, FleetEvent, FleetReport, RoutingPolicy};
+pub use fleet::{CimFleet, DeviceLoad, FleetConfig, FleetEvent, FleetReport};
 pub use integration::{run_integrated, IntegrationMode, IntegrationReport};
 pub use mapper::{map_graph, map_graph_subset, MappingPolicy, Placement};
 pub use persist::PersistentImage;
 pub use reliability::{run_duplex, run_fault_campaign, CampaignReport, ScheduledFault};
-pub use replicate::{execute_stream_replicated, execute_stream_replicated_threads, StreamItem};
 pub use resman::{run_farm, FarmReport, LoadReport, SlaController};
 pub use runtime::{CimRuntime, JobId, JobStatus};
 pub use security::{fence_tile, CapabilityTable};

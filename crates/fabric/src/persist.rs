@@ -151,21 +151,6 @@ impl PersistentImage {
 }
 
 impl CimRuntime {
-    /// Snapshots this runtime's nonvolatile state.
-    pub fn capture_image(&self) -> PersistentImage {
-        PersistentImage::capture(self)
-    }
-
-    /// Restores a previously captured image into this runtime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::InvalidConfig`] on a device-shape
-    /// mismatch.
-    pub fn restore_image(&mut self, image: PersistentImage) -> Result<()> {
-        image.restore(self)
-    }
-
     /// Simulates a power cycle: move the NV state out into an image,
     /// wipe volatile state (unit occupancy + assignments, NoC
     /// reservations, energy meter, admission queue — the
@@ -284,14 +269,14 @@ mod tests {
             assert_eq!(output(&mut rt), output(&mut twin));
             assert!(!rt.device().volatile_pristine(), "the run left occupancy");
 
-            let image = rt.capture_image();
+            let image = PersistentImage::capture(&rt);
             assert_eq!(image.resident_jobs(), 1);
             assert_eq!(image.programmed_units(), 1, "one matvec engine persists");
 
             assert!(rt.power_cycle(true), "clean restore is pristine");
             assert!(rt.device().volatile_pristine());
             assert_eq!(rt.running_jobs(), vec![job], "resident program survives");
-            assert_eq!(rt.capture_image().programmed_units(), 1);
+            assert_eq!(PersistentImage::capture(&rt).programmed_units(), 1);
 
             // The programmed conductances came back without
             // reprogramming: outputs after the crash equal the uncycled
@@ -358,7 +343,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_mismatched_device() {
         let rt = runtime();
-        let image = rt.capture_image();
+        let image = PersistentImage::capture(&rt);
         let mut other = CimRuntime::new(FabricConfig {
             mesh_width: 2,
             mesh_height: 1,
@@ -367,6 +352,6 @@ mod tests {
             ..FabricConfig::default()
         })
         .expect("boots");
-        assert!(other.restore_image(image).is_err());
+        assert!(image.restore(&mut other).is_err());
     }
 }

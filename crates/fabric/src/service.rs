@@ -29,7 +29,6 @@ use crate::config::FabricConfig;
 use crate::engine::{Injection, InjectionKind};
 use crate::error::Result;
 use crate::fleet::{CimFleet, FleetConfig, FleetEvent, FleetReport};
-use crate::mapper::MappingPolicy;
 use crate::runtime::{CimRuntime, JobId};
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
 use cim_sim::time::{SimDuration, SimTime};
@@ -46,8 +45,6 @@ pub struct ServiceConfig {
     /// Backoff before retry `k` is `backoff_base · 2^min(k-1, 32)` —
     /// exponential, saturating at the cap.
     pub backoff_base: SimDuration,
-    /// Placement policy for resident class programs.
-    pub mapping: MappingPolicy,
     /// Whether a power-loss restore wipes volatile device state before
     /// reloading the persisted image (the correct recovery pass). Only
     /// chaos campaigns turn this off, to prove the recovery contract
@@ -61,7 +58,6 @@ impl Default for ServiceConfig {
             queue_capacity: 16,
             max_attempts: 3,
             backoff_base: SimDuration::from_us(10),
-            mapping: MappingPolicy::LocalityAware,
             restore_clears_volatile: true,
         }
     }

@@ -4,18 +4,17 @@
 //! time only — every modeled number (outputs, costs) and every
 //! telemetry export must be bit-identical to the serial run. These
 //! tests pin that contract end to end: crossbar batch matvec under a
-//! noisy device model, a multi-device bench sweep, and a replicated
-//! fabric stream, each at explicit thread counts 1, 2 and 8 (explicit
-//! so the tests cannot race on the `CIM_THREADS` environment variable).
+//! noisy device model, multi-point bench sweeps, and the serving
+//! observability exports, each at explicit thread counts 1, 2 and 8
+//! (explicit so the tests cannot race on the `CIM_THREADS` environment
+//! variable).
 
 use cim_bench::experiments::sec6;
 use cim_crossbar::dpe::{DotProductEngine, DpeConfig};
 use cim_crossbar::matrix::DenseMatrix;
-use cim_fabric::{execute_stream_replicated_threads, FabricConfig, MappingPolicy, StreamOptions};
+use cim_fabric::FabricConfig;
 use cim_sim::telemetry::{Telemetry, TelemetryLevel};
 use cim_sim::SeedTree;
-use cim_workloads::nn::{mlp_graph, random_inputs};
-use std::collections::HashMap;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -55,41 +54,6 @@ fn bench_batch_curve_sweep_is_bit_identical_across_thread_counts() {
     let serial = run(1);
     for threads in &THREAD_COUNTS[1..] {
         assert_eq!(run(*threads), serial, "sweep differs at threads={threads}");
-    }
-}
-
-#[test]
-fn replicated_stream_is_bit_identical_across_thread_counts() {
-    let seeds = SeedTree::new(0x9E9);
-    let (graph, src, _sink) = mlp_graph(&[64, 32], seeds);
-    let items: Vec<_> = random_inputs(10, 64, seeds.child("x"))
-        .into_iter()
-        .map(|x| HashMap::from([(src, x)]))
-        .collect();
-    let config = FabricConfig::default();
-    let run = |threads: usize| {
-        let tel = Telemetry::new(TelemetryLevel::Metrics);
-        let report = execute_stream_replicated_threads(
-            &config,
-            &graph,
-            MappingPolicy::LocalityAware,
-            &items,
-            &StreamOptions::default(),
-            4,
-            &tel,
-            threads,
-        )
-        .expect("runs");
-        (report.outputs, report.energy, tel.export_jsonl())
-    };
-    let (outs1, energy1, jsonl1) = run(1);
-    assert_eq!(outs1.len(), items.len());
-    assert!(!jsonl1.is_empty(), "telemetry export must not be empty");
-    for threads in &THREAD_COUNTS[1..] {
-        let (outs, energy, jsonl) = run(*threads);
-        assert_eq!(outs, outs1, "outputs differ at threads={threads}");
-        assert_eq!(energy, energy1, "energy differs at threads={threads}");
-        assert_eq!(jsonl, jsonl1, "telemetry differs at threads={threads}");
     }
 }
 
