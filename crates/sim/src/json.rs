@@ -8,7 +8,9 @@
 //! parser producing a [`Json`] value tree.
 //!
 //! Strictness matches the writers: no trailing garbage, no NaN/Infinity
-//! literals, no comments. Numbers are carried as `f64`, which is exact
+//! literals, no comments, and no arrays or objects nested more than
+//! [`MAX_DEPTH`] deep (the writers emit flat objects; the cap keeps
+//! hostile input from exhausting the stack of this recursive parser). Numbers are carried as `f64`, which is exact
 //! for every integer the exporters emit below 2^53 (sim times in
 //! picoseconds, counters, byte counts); [`Json::as_u64`] refuses values
 //! outside that exactly-representable range rather than silently
@@ -24,6 +26,10 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest array/object nesting [`parse`] accepts; deeper input is
+/// a parse error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 ///
@@ -156,6 +162,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -169,6 +176,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -203,8 +212,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => self.parse_string().map(Json::String),
             Some(b't') => self.parse_literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.parse_literal("false").map(|()| Json::Bool(false)),
@@ -216,6 +225,21 @@ impl Parser<'_> {
                 other.map(|c| c as char)
             )),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to recurse
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<Json, String> {
@@ -496,6 +520,22 @@ mod tests {
             printed, src,
             "canonical writers round-trip byte-identically"
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nest = |open: &str, leaf: &str, close: &str, depth: usize| {
+            format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, leaf, close) in [("[", "", "]"), ("{\"a\":", "1", "}")] {
+            assert!(parse(&nest(open, leaf, close, MAX_DEPTH)).is_ok());
+            let err = parse(&nest(open, leaf, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            // Deep enough to overflow the stack of an uncapped parser.
+            assert!(parse(&nest(open, leaf, close, 100_000)).is_err());
+            // An unclosed run fails the same way.
+            assert!(parse(&open.repeat(100_000)).is_err());
+        }
     }
 
     #[test]
