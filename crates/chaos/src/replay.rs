@@ -383,7 +383,9 @@ pub fn parse_replay(text: &str) -> Result<ReplayFile, String> {
         Some(_) => Some(get_hex(&header, "fingerprint")?),
     };
 
-    let mut events = Vec::with_capacity(declared_events);
+    // Not sized from the header: its count is unchecked input until the
+    // lines below confirm it.
+    let mut events = Vec::new();
     let mut triage = Vec::new();
     for (i, line) in lines.enumerate() {
         let obj = json::parse(line).map_err(|e| format!("body line {}: {e}", i + 1))?;
@@ -551,6 +553,12 @@ mod tests {
         assert!(parse_replay(&truncated)
             .expect_err("event count mismatch")
             .contains("declares"));
+        // A huge declared count is a mismatch, not an allocation.
+        let huge = text.replacen("\"value\":10,", "\"value\":4503599627370496,", 1);
+        assert_ne!(huge, text);
+        assert!(parse_replay(&huge)
+            .expect_err("event count mismatch")
+            .contains("declares 4503599627370496 events"));
         assert!(parse_replay("").is_err());
         assert!(parse_replay("{\"component\":\"chaos\",\"metric\":\"other\"}").is_err());
     }
