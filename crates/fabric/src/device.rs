@@ -291,12 +291,18 @@ impl CimDevice {
     /// are kept, as is the telemetry component interning.
     /// Call between independent experiments on the same loaded device.
     pub fn reset_occupancy(&mut self) {
+        self.clear_occupancy();
+        self.meter.reset();
+        self.telemetry.reset_values();
+    }
+
+    /// Clears unit occupancy and busy horizons and NoC reservations,
+    /// keeping the energy meter and telemetry as running totals.
+    pub(crate) fn clear_occupancy(&mut self) {
         for u in &mut self.units {
             u.clear_occupancy();
         }
         self.noc.reset();
-        self.meter.reset();
-        self.telemetry.reset_values();
     }
 
     /// Power-loss amnesia: wipes every piece of device state that does

@@ -569,6 +569,7 @@ pub struct CimFleet {
     /// Rotating shard anchor: consecutive classes start their replica
     /// sets on consecutive devices, spreading tenants across the fleet.
     next_shard: usize,
+    /// Id of the next arrival; every run numbers its requests from 0.
     next_request: u64,
     /// The fleet's private metrics registry; `None` for a lone device,
     /// which records on its own telemetry instead.
@@ -1050,7 +1051,10 @@ impl CimFleet {
     /// applied in time order as the stream passes each event's time.
     ///
     /// Deterministic in the fleet's seed: bit-identical outcomes and
-    /// telemetry at every `CIM_THREADS` setting.
+    /// telemetry at every `CIM_THREADS` setting. Every call is a fresh
+    /// run: requests left in flight, unit occupancy and NoC reservations
+    /// from an earlier run are cleared first, while energy meters and
+    /// telemetry keep running totals.
     ///
     /// # Errors
     ///
@@ -1080,7 +1084,14 @@ impl CimFleet {
         }
         let n_devices = self.devices.len();
         let mut sched = Schedule::new(events, n_devices, self.failover_detect())?;
+        // Every run is a fresh stream: its arrival clock starts at zero,
+        // so no departure, busy horizon or link reservation of an
+        // earlier run may outlive it. Energy meters and telemetry keep
+        // running totals.
+        self.next_request = 0;
         for dev in &mut self.devices {
+            dev.in_flight.clear();
+            dev.rt.device_mut().clear_occupancy();
             (dev.dispatched, dev.served, dev.voided) = (0, 0, 0);
             (dev.crashes, dev.dirty_restores) = (0, 0);
         }
@@ -1758,6 +1769,42 @@ mod tests {
             assert_eq!(r.voided_total() as usize, r.failovers, "{r:?}");
         }
         assert_eq!(second.crashes, first.crashes, "crashes are per run");
+    }
+
+    #[test]
+    fn a_second_run_on_one_fleet_replays_the_first() {
+        // Regression: in-flight departures, unit busy horizons and NoC
+        // reservations used to outlive a run while the arrival clock
+        // restarted at zero, so a second overloaded run shed every
+        // request.
+        let mut b = GraphBuilder::new();
+        let s = b.add("s", Operation::Source { width: 8 });
+        let mv = b.add(
+            "mv",
+            Operation::MatVec {
+                rows: 8,
+                cols: 4,
+                weights: (0..32).map(|i| f64::from(i % 7) / 7.0 - 0.4).collect(),
+            },
+        );
+        let k = b.add("k", Operation::Sink { width: 4 });
+        b.chain(&[s, mv, k]).expect("chain");
+        let matvec = b.build().expect("valid");
+        for devices in [1, 4] {
+            let mut cfg = small_fleet_config(devices, devices.min(2));
+            cfg.fabric.units_per_tile = 4;
+            let mut f = CimFleet::new(cfg, SeedTree::new(0x5EED)).unwrap();
+            let deadline = SimDuration::from_us(100);
+            let (g, gs, gk) = tiny_graph(4);
+            f.register_class("relu", g, gs, gk, deadline, 1).unwrap();
+            f.register_class("mv", matvec.clone(), s, k, deadline, 1)
+                .unwrap();
+            let first = f.run_open_loop(2e6, 300, &[]).expect("serves");
+            assert!(first.completed > 0 && first.shed > 0, "{first:?}");
+            let second = f.run_open_loop(2e6, 300, &[]).expect("serves");
+            assert_eq!(second.outcomes, first.outcomes, "{devices} device(s)");
+            assert_eq!(second.fingerprint, first.fingerprint);
+        }
     }
 
     #[test]
