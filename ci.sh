@@ -199,39 +199,42 @@ cargo run --release --offline -p cim-bench --bin fleet_smoke -- failover
 # histograms — land in $ART so a red gate uploads its own evidence.
 # Every campaign runs with --require-full-coverage: a green sweep must
 # prove it exercised every action kind its config enables, not just the
-# seeds that happened to fit the budget.
-step "chaos campaign: 64-seed sweep must be clean, full kind coverage"
+# seeds that happened to fit the budget. Seed counts are sized to spend
+# about 10-20 % of each budget on a 2-core host (4096 single-device
+# seeds ≈18 s, 3072 fleet or power-loss seeds ≈15 s, 5120 adversarial
+# seeds ≈35 s), so the budget is a safety cap, not the sweep size.
+step "chaos campaign: 4096-seed sweep must be clean, full kind coverage"
 # Fixed root seed, budgeted for CI. Any invariant violation writes a
 # shrunk replay file and fails the gate.
 cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 64 --budget-ms 120000 --out "$ART/chaos_repro.jsonl" \
+    --seeds 4096 --budget-ms 120000 --out "$ART/chaos_repro.jsonl" \
     --require-full-coverage --coverage-out "$ART/chaos_coverage.txt"
 
-step "chaos campaign: fleet mode (4 devices) must be clean, full kind coverage"
+step "chaos campaign: fleet mode (4 devices, 3072 seeds) must be clean, full kind coverage"
 # The same invariants plus the fleet-only no-double-execution check,
 # with whole-device outages in the generated action mix.
 cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 32 --fleet-devices 4 --budget-ms 120000 \
+    --seeds 3072 --fleet-devices 4 --budget-ms 120000 \
     --out "$ART/chaos_fleet_repro.jsonl" \
     --require-full-coverage --coverage-out "$ART/chaos_fleet_coverage.txt"
 
-step "chaos campaign: power-loss fleet mode (32 seeds) must be clean, full kind coverage"
+step "chaos campaign: power-loss fleet mode (3072 seeds) must be clean, full kind coverage"
 # Crashes join the fleet action mix; every schedule containing one is
 # held to the detectable-recovery contract (crash_conservation,
 # crash_no_double_execution, crash_determinism).
 cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 32 --fleet-devices 4 --power-loss --budget-ms 120000 \
+    --seeds 3072 --fleet-devices 4 --power-loss --budget-ms 120000 \
     --out "$ART/chaos_powerloss_repro.jsonl" \
     --require-full-coverage --coverage-out "$ART/chaos_powerloss_coverage.txt"
 
-step "chaos campaign: adversarial fleet mode (32 seeds) must be clean, full kind coverage"
+step "chaos campaign: adversarial fleet mode (5120 seeds) must be clean, full kind coverage"
 # The full grammar: isolation attacks (forged/replayed tokens,
 # cross-partition scans, hostile programs) join crashes and outages in
 # the fleet action mix. Every device boots with an armed adversary tile
 # and every run is held to the containment contract
 # (iso_no_cross_tenant_read, iso_bounded_blast_radius, iso_innocent_qos).
 cargo run --release --offline -p cim-chaos --bin chaos_campaign -- \
-    --seeds 32 --fleet-devices 4 --power-loss --adversarial --budget-ms 240000 \
+    --seeds 5120 --fleet-devices 4 --power-loss --adversarial --budget-ms 240000 \
     --out "$ART/chaos_adversarial_repro.jsonl" \
     --require-full-coverage --coverage-out "$ART/chaos_adversarial_coverage.txt"
 
