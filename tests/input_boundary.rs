@@ -339,16 +339,15 @@ fn mutate(rng: &mut impl Rng, doc: &mut Vec<u8>) {
     }
 }
 
-/// Runs all four parsers over `doc` — the replay parser over the whole
-/// text, the line parsers over each line — and counts what they accept.
-fn parse_all(doc: &str) -> usize {
-    let mut accepted = usize::from(parse_replay(doc).is_ok());
+/// Runs all four parsers over `doc`: the replay parser over the whole
+/// text, the line parsers over each line.
+fn parse_all(doc: &str) {
+    let _ = parse_replay(doc);
     for line in doc.lines() {
-        accepted += usize::from(json::parse(line).is_ok());
-        accepted += usize::from(validate_jsonl_line(line).is_ok());
-        accepted += usize::from(AlertEvent::parse_jsonl_line(line).is_ok());
+        let _ = json::parse(line);
+        let _ = validate_jsonl_line(line);
+        let _ = AlertEvent::parse_jsonl_line(line);
     }
-    accepted
 }
 
 #[test]
