@@ -22,8 +22,8 @@ use cim_sim::time::{SimDuration, SimTime};
 /// and serializable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
-    /// Hard-fail micro-unit `unit` (out-of-range indices are ignored by
-    /// the fabric — shrinking stays safe).
+    /// Hard-fail micro-unit `unit` (indices past the fleet's units wrap
+    /// onto it when lowered — shrinking stays safe).
     FailUnit {
         /// Linear unit index.
         unit: u16,

@@ -654,8 +654,8 @@ impl CimFleet {
     /// [`CimFleet::run_open_loop`] calls: windowed time-series sampled
     /// on a fixed 10 µs sim-time cadence, per-tenant SLO burn-rate
     /// alerting (one spec per registered class), and the series/alert
-    /// exports on [`FleetReport`]. Empty
-    /// [`cim_obs::ObsConfig::tracks`] default to
+    /// exports on [`FleetReport`]. Empty [`cim_obs::ObsConfig::tracks`]
+    /// default to
     /// [`cim_obs::TrackSpec::fleet_defaults`] scoped to this fleet's
     /// device count, or to [`cim_obs::TrackSpec::serving_defaults`] on a
     /// lone device.
@@ -1084,10 +1084,8 @@ impl CimFleet {
         }
         let n_devices = self.devices.len();
         let mut sched = Schedule::new(events, n_devices, self.failover_detect())?;
-        // Every run is a fresh stream: its arrival clock starts at zero,
-        // so no departure, busy horizon or link reservation of an
-        // earlier run may outlive it. Energy meters and telemetry keep
-        // running totals.
+        // The arrival clock restarts at zero, so no departure, busy
+        // horizon or link reservation of an earlier run may outlive it.
         self.next_request = 0;
         for dev in &mut self.devices {
             dev.in_flight.clear();

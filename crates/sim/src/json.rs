@@ -10,11 +10,11 @@
 //! Strictness matches the writers: no trailing garbage, no NaN/Infinity
 //! literals, no comments, and no arrays or objects nested more than
 //! [`MAX_DEPTH`] deep (the writers emit flat objects; the cap keeps
-//! hostile input from exhausting the stack of this recursive parser). Numbers are carried as `f64`, which is exact
-//! for every integer the exporters emit below 2^53 (sim times in
-//! picoseconds, counters, byte counts); [`Json::as_u64`] refuses values
-//! outside that exactly-representable range rather than silently
-//! rounding.
+//! hostile input from exhausting the stack of this recursive parser).
+//! Numbers are carried as `f64`, which is exact for every integer the
+//! exporters emit below 2^53 (sim times in picoseconds, counters, byte
+//! counts); [`Json::as_u64`] refuses values outside that
+//! exactly-representable range rather than silently rounding.
 //!
 //! ```
 //! use cim_sim::json::{parse, Json};

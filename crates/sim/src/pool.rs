@@ -1,9 +1,9 @@
 //! Deterministic host-parallel execution: a zero-dependency scoped
 //! thread pool with order-preserving reduction.
 //!
-//! The simulator's hot fan-outs — batched matvecs, multi-device bench
-//! sweeps, replicated stream execution — are embarrassingly parallel *in
-//! the model* but were executed serially on the host. This module
+//! The simulator's hot fan-outs — batched matvecs, multi-point bench
+//! sweeps, chaos campaign seeds — are embarrassingly parallel *in the
+//! model* but were executed serially on the host. This module
 //! parallelizes them without giving up the repo's determinism contract:
 //!
 //! 1. **Seed-split partitioning.** Work items never share an RNG stream;
