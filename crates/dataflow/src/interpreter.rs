@@ -94,8 +94,8 @@ pub fn execute(
         let out = match &node.op {
             Operation::Source { .. } => inputs[&r].clone(),
             op => {
-                let in_refs = graph.inputs_of(r);
-                let in_vals: Vec<&[f64]> = in_refs
+                let in_vals: Vec<&[f64]> = graph
+                    .producers(r)
                     .iter()
                     .map(|ir| {
                         values[ir.index()]
@@ -154,7 +154,7 @@ pub fn execute_traced(
     for &i in graph.topo_order() {
         let r = NodeRef(i);
         let node = graph.node(r);
-        let in_refs = graph.inputs_of(r);
+        let in_refs = graph.producers(r);
         let ready = in_refs
             .iter()
             .map(|ir| done[ir.index()])

@@ -108,6 +108,9 @@ pub enum Operation {
 }
 
 impl Operation {
+    /// The largest [`arity`](Self::arity) of any operation.
+    pub const MAX_ARITY: usize = 2;
+
     /// Number of inputs the operation requires.
     pub fn arity(&self) -> usize {
         match self {
@@ -349,6 +352,7 @@ mod tests {
         assert_eq!(mv.output_width(), 2);
         let cat = Operation::Concat { left: 2, right: 5 };
         assert_eq!(cat.arity(), 2);
+        assert_eq!(cat.arity(), Operation::MAX_ARITY);
         assert_eq!(cat.input_width(1), 5);
         assert_eq!(cat.output_width(), 7);
         assert_eq!(
