@@ -8,11 +8,12 @@
 //! role an OS plays for CPUs, at micro-unit granularity.
 
 use crate::device::CimDevice;
-use crate::engine::{MappedProgram, StreamOptions, StreamReport};
+use crate::engine::{Injection, MappedProgram, Served, StreamOptions, StreamReport};
 use crate::error::{FabricError, Result};
 use crate::mapper::MappingPolicy;
 use crate::unit::UnitHealth;
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
+use cim_sim::time::SimTime;
 use std::collections::{HashMap, VecDeque};
 
 /// Identifies a submitted job.
@@ -41,6 +42,13 @@ impl JobStatus {
         match self {
             JobStatus::Running(id) | JobStatus::Queued(id) => id,
         }
+    }
+}
+
+/// The error for running a job that is queued or unknown.
+fn not_loaded(job: JobId) -> FabricError {
+    FabricError::InvalidConfig {
+        reason: format!("job {} is not loaded (queued or unknown)", job.0),
     }
 }
 
@@ -209,10 +217,28 @@ impl CimRuntime {
         inputs: &[HashMap<NodeRef, Vec<f64>>],
         opts: &StreamOptions,
     ) -> Result<StreamReport> {
-        let prog = self.jobs.get_mut(&job).ok_or(FabricError::InvalidConfig {
-            reason: format!("job {} is not loaded (queued or unknown)", job.0),
-        })?;
+        let prog = self.jobs.get_mut(&job).ok_or_else(|| not_loaded(job))?;
         self.device.execute_stream(prog, inputs, opts)
+    }
+
+    /// Serves one request on a loaded job: the request-shaped twin of a
+    /// one-item [`run`](Self::run) that borrows the resident program,
+    /// the input and the injection tail instead of copying them. See
+    /// [`CimDevice::serve`] for the arguments and the applied-injection
+    /// count it returns.
+    pub(crate) fn serve(
+        &mut self,
+        job: JobId,
+        src: NodeRef,
+        input: &[f64],
+        sink: NodeRef,
+        start: SimTime,
+        tail: &[Injection],
+    ) -> (Result<Served>, usize) {
+        match self.jobs.get_mut(&job) {
+            Some(prog) => self.device.serve(prog, src, input, sink, start, tail),
+            None => (Err(not_loaded(job)), 0),
+        }
     }
 
     /// Finishes a job: releases its units and admits queued jobs that now
@@ -262,9 +288,16 @@ impl CimRuntime {
 mod tests {
     use super::*;
     use crate::config::FabricConfig;
+    use crate::engine::InjectionKind;
     use cim_crossbar::dpe::DpeConfig;
     use cim_dataflow::graph::GraphBuilder;
     use cim_dataflow::ops::{Elementwise, Operation};
+    use cim_noc::packet::NodeId;
+    use cim_sim::prop::{check, PropConfig};
+    use cim_sim::rng::Rng;
+    use cim_sim::telemetry::TelemetryLevel;
+    use cim_sim::time::SimDuration;
+    use cim_sim::{prop_assert, prop_assert_eq, SimMode};
 
     fn small_runtime(units: usize) -> CimRuntime {
         CimRuntime::new(FabricConfig {
@@ -415,5 +448,176 @@ mod tests {
     fn finish_unknown_job_errors() {
         let mut rt = small_runtime(4);
         assert!(rt.finish(JobId(42)).is_err());
+    }
+
+    /// A runtime with `graph` resident and telemetry on at `Metrics`.
+    fn twin(mode: SimMode, graph: &DataflowGraph) -> (CimRuntime, JobId) {
+        let mut rt = CimRuntime::new(FabricConfig {
+            sim_mode: mode,
+            ..FabricConfig::default()
+        })
+        .expect("runtime boots");
+        rt.device_mut().enable_telemetry(TelemetryLevel::Metrics);
+        let job = rt
+            .submit(graph.clone(), MappingPolicy::LocalityAware)
+            .expect("fits")
+            .id();
+        (rt, job)
+    }
+
+    /// A one-item [`CimRuntime::run`] of `input` into `src`, reduced to
+    /// what [`CimRuntime::serve`] returns.
+    fn run_one(
+        rt: &mut CimRuntime,
+        job: JobId,
+        (src, input, sink): (NodeRef, &[f64], NodeRef),
+        start: SimTime,
+        tail: &[Injection],
+    ) -> Result<(SimTime, bool, Vec<f64>)> {
+        let opts = StreamOptions {
+            start,
+            injections: tail.to_vec(),
+            ..StreamOptions::default()
+        };
+        let mut report = rt.run(job, &[HashMap::from([(src, input.to_vec())])], &opts)?;
+        let output = report.outputs[0].remove(&sink).expect("sink output");
+        Ok((report.completed[0], !report.recoveries.is_empty(), output))
+    }
+
+    #[test]
+    fn serve_matches_a_one_item_run_on_both_tiers() {
+        let mix = cim_workloads::serving::standard_request_mix();
+        check(
+            "serve == one-item run",
+            &PropConfig::cases(24),
+            |rng| {
+                let class = rng.gen_range(0..mix.len());
+                let input: Vec<f64> = (0..mix[class].input_width())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                // Extra injections: (offset from the start in ps, kind).
+                let extras: Vec<(u64, u8)> = (0..rng.gen_range(0..4))
+                    .map(|_| (rng.gen_range(0..40_000_000), rng.gen_range(0..3)))
+                    .collect();
+                (
+                    rng.gen_range(0..2) == 1,
+                    class,
+                    rng.gen::<u64>(),
+                    input,
+                    (rng.gen_range(0..8usize), rng.gen_range(0..2_000u64)),
+                    extras,
+                )
+            },
+            |(analytic, class, seed, input, (victim, fail_ps), extras)| {
+                let mode = if *analytic {
+                    SimMode::Analytic
+                } else {
+                    SimMode::Detailed
+                };
+                let spec = &mix[*class % mix.len()];
+                let (graph, src, sink) = spec.build_graph(cim_sim::SeedTree::new(*seed));
+                let (mut a, job_a) = twin(mode, &graph);
+                let (mut b, job_b) = twin(mode, &graph);
+                let start = SimTime::from_ps(1_000_000 + seed % 1_000_000);
+                // A non-source node's unit fails 1–2000 ps in: after the
+                // source ran, before its own node runs, so recovery runs.
+                let node = 1 + victim % (graph.node_count() - 1);
+                let unit = a
+                    .program(job_a)
+                    .expect("resident")
+                    .placement()
+                    .unit_of(node);
+                let mut tail = vec![Injection {
+                    at: start + SimDuration::from_ps(1 + fail_ps),
+                    kind: InjectionKind::FailUnit { unit },
+                }];
+                for &(offset, kind) in extras {
+                    let kind = match kind {
+                        0 => InjectionKind::Congestion {
+                            from: NodeId::new(0, 0),
+                            to: NodeId::new(3, 3),
+                            packets: 8,
+                            bytes: 256,
+                        },
+                        1 => InjectionKind::DriftSpike {
+                            unit: (offset % 64) as usize,
+                            drift_ppm: 50_000,
+                        },
+                        _ => InjectionKind::FailLink {
+                            a: NodeId::new(1, 1),
+                            b: NodeId::new(2, 1),
+                        },
+                    };
+                    let at = start + SimDuration::from_ps(offset);
+                    tail.push(Injection { at, kind });
+                }
+                tail.sort_by_key(|i| i.at);
+
+                let (served, applied) = a.serve(job_a, src, input, sink, start, &tail);
+                let ran = run_one(&mut b, job_b, (src, input, sink), start, &tail);
+                let served = served.map(|s| (s.finished, s.recovered, s.output));
+                let bits = |r: &Result<(SimTime, bool, Vec<f64>)>| {
+                    r.clone()
+                        .map(|(t, rec, out)| (t, rec, out.iter().map(|v| v.to_bits()).collect()))
+                };
+                let served_bits: Result<(SimTime, bool, Vec<u64>)> = bits(&served);
+                prop_assert_eq!(served_bits, bits(&ran));
+                if let Ok((finished, recovered, _)) = served {
+                    prop_assert!(recovered, "the mid-request failure must recover");
+                    let landed = tail.partition_point(|i| i.at <= finished);
+                    prop_assert!(
+                        (1..=landed).contains(&applied),
+                        "applied {applied} of {landed} landed injections"
+                    );
+                }
+                let meter = |rt: &CimRuntime| {
+                    let m = rt.device().meter();
+                    let accounts: Vec<(String, u64)> =
+                        m.iter().map(|(k, e)| (k.to_owned(), e.as_fj())).collect();
+                    (accounts, m.total().as_fj())
+                };
+                prop_assert_eq!(meter(&a), meter(&b));
+                prop_assert!(
+                    a.device().telemetry().export_jsonl() == b.device().telemetry().export_jsonl(),
+                    "telemetry exports differ"
+                );
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn serve_and_run_reject_an_unfed_source_alike() {
+        // Two sources feed an `Add`; a request feeds only the first.
+        let mut b = GraphBuilder::new();
+        let x = b.add("x", Operation::Source { width: 4 });
+        let y = b.add("y", Operation::Source { width: 4 });
+        let add = b.add("add", Operation::Add { width: 4 });
+        let k = b.add("k", Operation::Sink { width: 4 });
+        b.connect(x, add, 0).expect("port 0");
+        b.connect(y, add, 1).expect("port 1");
+        b.connect(add, k, 0).expect("sink");
+        let graph = b.build().expect("valid");
+        for mode in [SimMode::Analytic, SimMode::Detailed] {
+            let (mut a, job_a) = twin(mode, &graph);
+            let (mut b, job_b) = twin(mode, &graph);
+            let input = [0.5; 4];
+            let (served, applied) = a.serve(job_a, x, &input, k, SimTime::ZERO, &[]);
+            let ran = run_one(&mut b, job_b, (x, &input, k), SimTime::ZERO, &[]);
+            let err = served.expect_err("source y is unfed");
+            assert_eq!(Err(err.clone()), ran);
+            assert!(
+                err.to_string().contains("missing input for source 'y'"),
+                "{err}"
+            );
+            assert_eq!(applied, 0);
+            // An unknown job is refused alike, too.
+            let (served, _) = a.serve(JobId(9), x, &input, k, SimTime::ZERO, &[]);
+            let ran = b.run(JobId(9), &[], &StreamOptions::default());
+            assert_eq!(
+                served.expect_err("not loaded"),
+                ran.expect_err("not loaded")
+            );
+        }
     }
 }
