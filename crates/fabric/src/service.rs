@@ -65,18 +65,18 @@ impl Default for ServiceConfig {
 
 /// A scheduled serviceability event applied while the stream runs.
 ///
-/// Events due between dispatches are applied exactly once by the
-/// device's event cursor; the still-future tail is additionally handed
-/// to the engine as [`crate::engine::StreamOptions::injections`], so an event whose
-/// time falls *inside* a request's execution lands at that precise
-/// sim-time point instead of waiting for the next dispatch boundary.
-/// Because both layers may see the same event, applications must
-/// tolerate repetition: health and link events are absolute state-sets
-/// and [`InjectionKind::CellFaults`] is seed-deterministic, so
-/// re-application is a no-op; [`InjectionKind::Congestion`] and
-/// [`InjectionKind::DriftSpike`] compound when a mid-stream landing is
-/// replayed at the next boundary — deterministically, so replays stay
-/// bit-identical.
+/// Each event lands exactly once. Events due by a dispatch are applied
+/// by the device's event cursor before the attempt runs; the
+/// still-future injections, up to the device's next power loss, are
+/// handed to the engine as a borrowed tail, so an event whose time falls
+/// *inside* a request's execution lands at that precise sim-time point
+/// instead of waiting for the next dispatch boundary. The engine reports
+/// how many it applied, also when the attempt fails, and the cursor
+/// moves past them. This matters beyond bookkeeping: health and link
+/// events are absolute state-sets, but [`InjectionKind::DriftSpike`]
+/// compounds, [`InjectionKind::Congestion`] sends its burst again and an
+/// attack logs its probes again when applied twice. An injection
+/// scheduled after a power loss lands after that crash's recovery pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceEvent {
     /// Hard-fail a unit (detected by the engine on next dispatch).
@@ -641,6 +641,143 @@ mod tests {
             .noc_mut()
             .mesh_mut()
             .link_failed(NodeId::new(1, 0), NodeId::new(2, 0)));
+    }
+
+    /// A service whose one class is source → 4×4 matvec → sink, the
+    /// stages on three tiles.
+    fn matvec_service() -> (CimService, NodeRef, NodeRef) {
+        let mut b = GraphBuilder::new();
+        let s = b.add("s", Operation::Source { width: 4 });
+        let fc = b.add(
+            "fc",
+            Operation::MatVec {
+                rows: 4,
+                cols: 4,
+                weights: (0..16).map(|i| f64::from(i % 5) / 5.0 - 0.4).collect(),
+            },
+        );
+        let k = b.add("k", Operation::Sink { width: 4 });
+        b.chain(&[s, fc, k]).expect("chain");
+        let mut svc = CimService::new(fabric(4), ServiceConfig::default(), SeedTree::new(0x5EED))
+            .expect("boots");
+        svc.register_class(
+            "mv",
+            b.build().expect("valid"),
+            s,
+            k,
+            SimDuration::from_ms(1),
+            1,
+        )
+        .expect("resident");
+        (svc, s, k)
+    }
+
+    /// The output bits of one probe request straight through the
+    /// runtime, after a run.
+    fn probe_bits(svc: &mut CimService, s: NodeRef, k: NodeRef) -> Vec<u64> {
+        let job = svc.class_job(0).expect("registered");
+        let item = std::collections::HashMap::from([(s, vec![0.9, -0.3, 0.6, 0.2])]);
+        let report = svc
+            .runtime_mut()
+            .run(job, &[item], &crate::engine::StreamOptions::default())
+            .expect("probe runs");
+        report.outputs[0][&k].iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_mid_request_drift_spike_lands_exactly_once() {
+        // The first request's window, from an unperturbed run.
+        let (mut svc, s, k) = matvec_service();
+        let probe = svc.run_open_loop(100_000.0, 5, &[]).expect("probe");
+        let Disposition::Completed { finished, .. } = probe.outcomes[0].disposition else {
+            panic!("probe request must complete");
+        };
+        let arrival = probe.outcomes[0].arrival;
+        let mid = SimTime::from_ps((arrival.as_ps() + finished.as_ps()) / 2 + 1);
+        let job = svc.class_job(0).expect("registered");
+        let unit = svc
+            .runtime()
+            .program(job)
+            .expect("resident")
+            .placement()
+            .unit_of(1);
+        let spike = InjectionKind::DriftSpike {
+            unit,
+            drift_ppm: 100_000,
+        };
+
+        // The spike lands inside the first request; later requests
+        // dispatch to the same device after it.
+        let (mut svc, s2, k2) = matvec_service();
+        let r = svc
+            .run_open_loop(
+                100_000.0,
+                5,
+                &[ServiceEvent::Inject {
+                    at: mid,
+                    kind: spike,
+                }],
+            )
+            .expect("serves");
+        assert_eq!(r.completed, 5);
+        // A twin serves the same stream unperturbed, then takes the
+        // spike once.
+        let (mut twin, _, _) = matvec_service();
+        twin.run_open_loop(100_000.0, 5, &[]).expect("serves");
+        twin.runtime_mut().device_mut().apply_injection(&Injection {
+            at: mid,
+            kind: spike,
+        });
+        assert_eq!(
+            probe_bits(&mut svc, s2, k2),
+            probe_bits(&mut twin, s, k),
+            "a 10 % spike applied twice drifts the crossbar by 0.9²"
+        );
+    }
+
+    #[test]
+    fn an_injection_after_a_crash_lands_once_after_the_power_cycle() {
+        use cim_noc::packet::NodeId;
+        let (arrival, finished) = first_request_window();
+        let third = (finished.as_ps() - arrival.as_ps()) / 3;
+        // The crash and then a congestion burst both fall inside the
+        // first request, which the crash voids.
+        let crash = SimTime::from_ps(arrival.as_ps() + third);
+        let burst = ServiceEvent::Inject {
+            at: SimTime::from_ps(arrival.as_ps() + 2 * third),
+            kind: InjectionKind::Congestion {
+                from: NodeId::new(0, 0),
+                to: NodeId::new(3, 0),
+                packets: 4,
+                bytes: 256,
+            },
+        };
+        let power_loss = ServiceEvent::PowerLoss {
+            at: crash,
+            restart_after: SimDuration::from_us(5),
+        };
+        let run = |events: &[ServiceEvent]| {
+            let mut svc = service(4, ServiceConfig::default(), SimDuration::from_ms(1));
+            let tel = svc
+                .runtime_mut()
+                .device_mut()
+                .enable_telemetry(cim_sim::telemetry::TelemetryLevel::Metrics);
+            let r = svc.run_open_loop(100_000.0, 5, events).expect("serves");
+            assert_eq!((r.crashes, r.completed), (1, 5));
+            let noc = tel.component("noc");
+            let packets = tel
+                .with_registry(|reg| reg.counter(noc, "packets"))
+                .expect("telemetry on");
+            let load: Vec<_> = svc.runtime().device().noc().link_load();
+            (packets, load)
+        };
+        let (quiet_packets, quiet_load) = run(&[power_loss]);
+        let (packets, load) = run(&[power_loss, burst]);
+        // Sent once: four packets more than the run without it.
+        assert_eq!(packets, quiet_packets + 4);
+        // And after the power cycle, whose wipe would have erased the
+        // burst's link reservations.
+        assert_ne!(load, quiet_load);
     }
 
     #[test]

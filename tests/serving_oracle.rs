@@ -757,18 +757,18 @@ fn rows() -> Vec<Row> {
             2_000,
             false,
             Observed {
-                outcomes: 0x8345d611aa93e01a,
+                outcomes: 0x9f7ac0e7d69cc092,
                 counts: [2000, 740, 1260, 480, 260, 0, 3, 0, 1, 0],
                 latency: [
                     0x40318b6ea4228998,
                     0x403778258d5842b7,
                     0x403bddfc3b4f6167,
-                    0x402a6c1fefe66d6d,
+                    0x402a6c1fcee3ca00,
                     0x404363a0e8427419,
                 ],
                 alerts: (0, 0xcbf29ce484222325),
                 series: 0xcbf29ce484222325,
-                telemetry: 0x3b4c615fe734295a,
+                telemetry: 0xb5049caac6e20883,
                 fleet: [0, 0, 0],
             },
         ),
@@ -805,18 +805,18 @@ fn rows() -> Vec<Row> {
             2_000,
             true,
             Observed {
-                outcomes: 0x8345d611aa93e01a,
+                outcomes: 0x9f7ac0e7d69cc092,
                 counts: [2000, 740, 1260, 480, 260, 0, 3, 0, 1, 0],
                 latency: [
                     0x40318b6ea4228998,
                     0x403778258d5842b7,
                     0x403bddfc3b4f6167,
-                    0x402a6c1fefe66d6d,
+                    0x402a6c1fcee3ca00,
                     0x404363a0e8427419,
                 ],
                 alerts: (14, 0x9bdd53fc21a1d715),
-                series: 0x59ef735666d91a0d,
-                telemetry: 0x3b4c615fe734295a,
+                series: 0x01d37b19a31b7c3e,
+                telemetry: 0xb5049caac6e20883,
                 fleet: [0, 0, 0],
             },
         ),
