@@ -449,9 +449,15 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("unparsable number {text:?}: {e}"))
+        match text.parse::<f64>() {
+            // A literal past f64's range (`1e999`) reads as infinity,
+            // which this parser never yields; underflow reads as zero.
+            Ok(v) if v.is_finite() => Ok(Json::Number(v)),
+            Ok(_) => Err(format!(
+                "number {text:?} at byte {start} is out of f64 range"
+            )),
+            Err(e) => Err(format!("unparsable number {text:?}: {e}")),
+        }
     }
 }
 
@@ -536,6 +542,34 @@ mod tests {
             // An unclosed run fails the same way.
             assert!(parse(&open.repeat(100_000)).is_err());
         }
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_rejected() {
+        for bad in [
+            "1e999",
+            "-1e999",
+            "1.5e309",
+            "[1e400]",
+            r#"{"value":1e999}"#,
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("out of f64 range"), "{bad}: {err}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Json::Number(1e308));
+        assert_eq!(
+            parse("-1.7976931348623157e308").unwrap(),
+            Json::Number(f64::MIN)
+        );
+        // Underflow is not an error: it reads as (signed) zero.
+        assert_eq!(parse("1e-400").unwrap(), Json::Number(0.0));
+        assert_eq!(
+            parse("-1e-400")
+                .unwrap()
+                .as_f64()
+                .map(f64::is_sign_negative),
+            Some(true)
+        );
     }
 
     #[test]

@@ -289,13 +289,15 @@ fn corpus() -> Vec<String> {
 const BYTES: &[u8] = b"{}[]\":,\\-+.eE0123456789ntfu \t\r\n\x00\x1f\x7f\xc3\xf0";
 
 /// Number literals at or past the edges the readers check.
-const NUMBERS: [&str; 10] = [
+const NUMBERS: [&str; 12] = [
     "-1",
     "-0",
     "0.5",
     "1e308",
     "1e999",
     "-1e999",
+    "1e-400",
+    "-1.5e309",
     "4503599627370496",
     "9007199254740993",
     "18446744073709551616",
@@ -339,15 +341,32 @@ fn mutate(rng: &mut impl Rng, doc: &mut Vec<u8>) {
     }
 }
 
+/// Whether every number in `v` is finite.
+fn all_finite(v: &json::Json) -> bool {
+    match v {
+        json::Json::Number(x) => x.is_finite(),
+        json::Json::Array(items) => items.iter().all(all_finite),
+        json::Json::Object(members) => members.iter().all(|(_, m)| all_finite(m)),
+        _ => true,
+    }
+}
+
 /// Runs all four parsers over `doc`: the replay parser over the whole
-/// text, the line parsers over each line.
-fn parse_all(doc: &str) {
+/// text, the line parsers over each line. Errs if `json::parse`
+/// accepts a line with a number it cannot hold.
+fn parse_all(doc: &str) -> Result<(), String> {
     let _ = parse_replay(doc);
     for line in doc.lines() {
-        let _ = json::parse(line);
+        if let Ok(v) = json::parse(line) {
+            prop_assert!(
+                all_finite(&v),
+                "json::parse read a non-finite number: {line}"
+            );
+        }
         let _ = validate_jsonl_line(line);
         let _ = AlertEvent::parse_jsonl_line(line);
     }
+    Ok(())
 }
 
 #[test]
@@ -368,9 +387,31 @@ fn parsers_survive_mutated_input() {
             String::from_utf8_lossy(&doc).into_owned()
         },
         |doc| {
-            let survived = catch_unwind(AssertUnwindSafe(|| parse_all(doc)));
-            prop_assert!(survived.is_ok(), "a parser panicked");
-            Ok(())
+            catch_unwind(AssertUnwindSafe(|| parse_all(doc)))
+                .unwrap_or_else(|_| Err("a parser panicked".to_owned()))
         },
     );
+}
+
+#[test]
+fn number_literals_past_f64_range_are_parse_errors() {
+    for bad in ["1e999", "-1e999", "1.5e309"] {
+        assert!(json::parse(bad).is_err(), "{bad}");
+        let line = format!("{{\"component\":\"a\",\"metric\":\"b\",\"value\":{bad}}}");
+        assert!(validate_jsonl_line(&line).is_err(), "{line}");
+    }
+    assert!(validate_jsonl_line(r#"{"component":"a","metric":"b","value":1e308}"#).is_ok());
+    assert!(validate_jsonl_line(r#"{"component":"a","metric":"b","value":1e-400}"#).is_ok());
+    // A replay header rate past f64's range is a parse error, not a
+    // run error ("offered rate inf Hz").
+    let mut rng = SeedTree::new(6).rng("schedule");
+    let text = render_replay(&replay_file(random_schedule(&mut rng), 6));
+    let header = text.lines().next().expect("header line");
+    let field = "\"base_rate_hz\":";
+    let start = header.find(field).expect("rate field") + field.len();
+    let len = header[start..].find([',', '}']).expect("field ends");
+    let mut doc = text.clone();
+    doc.replace_range(start..start + len, "1e999");
+    let err = parse_replay(&doc).expect_err("out-of-range rate");
+    assert!(err.starts_with("header: "), "{err}");
 }
