@@ -499,6 +499,43 @@ mod tests {
                         at_ps: 10_000_000,
                         action: ChaosAction::HostileDataflow { seed: 4321 },
                     },
+                    ChaosEvent {
+                        at_ps: 11_000_000,
+                        action: ChaosAction::RepairUnit { unit: u16::MAX },
+                    },
+                    ChaosEvent {
+                        at_ps: 12_000_000,
+                        action: ChaosAction::FailLink {
+                            ax: 1,
+                            ay: 2,
+                            bx: 3,
+                            by: 4,
+                        },
+                    },
+                    ChaosEvent {
+                        at_ps: 13_000_000,
+                        action: ChaosAction::RepairLink {
+                            ax: 5,
+                            ay: 6,
+                            bx: 7,
+                            by: u16::MAX,
+                        },
+                    },
+                    ChaosEvent {
+                        at_ps: 14_000_000,
+                        action: ChaosAction::DriftSpike {
+                            unit: 7,
+                            drift_ppm: u32::MAX,
+                        },
+                    },
+                    ChaosEvent {
+                        at_ps: 15_000_000,
+                        action: ChaosAction::DeviceDown { device: 2 },
+                    },
+                    ChaosEvent {
+                        at_ps: 16_000_000,
+                        action: ChaosAction::DeviceUp { device: 3 },
+                    },
                 ],
             },
             invariant: "recovery_bound".to_owned(),
@@ -528,6 +565,15 @@ mod tests {
     #[test]
     fn round_trips_exactly() {
         let file = sample();
+        let mut kinds: Vec<&str> = file
+            .schedule
+            .events
+            .iter()
+            .map(|e| e.action.kind_name())
+            .collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 16, "one event per action kind");
         let text = render_replay(&file);
         let parsed = parse_replay(&text).expect("parses");
         assert_eq!(parsed, file);
@@ -554,7 +600,7 @@ mod tests {
             .expect_err("event count mismatch")
             .contains("declares"));
         // A huge declared count is a mismatch, not an allocation.
-        let huge = text.replacen("\"value\":10,", "\"value\":4503599627370496,", 1);
+        let huge = text.replacen("\"value\":16,", "\"value\":4503599627370496,", 1);
         assert_ne!(huge, text);
         assert!(parse_replay(&huge)
             .expect_err("event count mismatch")
