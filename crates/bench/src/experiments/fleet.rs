@@ -369,7 +369,6 @@ pub fn engineered_powerloss(s: &FleetScenario) -> Vec<FleetEvent> {
 /// probes land while the stream is live.
 pub fn engineered_adversarial(s: &FleetScenario) -> Vec<FleetEvent> {
     use cim_fabric::engine::InjectionKind;
-    use cim_fabric::service::ServiceEvent;
     let span_ps = (s.requests as f64 / s.rate_hz * 1e12) as u64;
     let devices = s.devices.max(1) as u64;
     let mut events = Vec::new();
@@ -398,12 +397,10 @@ pub fn engineered_adversarial(s: &FleetScenario) -> Vec<FleetEvent> {
             },
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
-            events.push(FleetEvent::Device {
+            events.push(FleetEvent::Inject {
+                at: at(i as u64),
                 device: d,
-                event: ServiceEvent::Inject {
-                    at: at(i as u64),
-                    kind,
-                },
+                kind,
             });
         }
     }

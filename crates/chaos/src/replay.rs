@@ -60,83 +60,6 @@ fn hex(v: u64) -> Json {
     Json::String(format!("{v:#018x}"))
 }
 
-fn action_pairs(action: &ChaosAction) -> Vec<(String, Json)> {
-    let mut p = Vec::new();
-    let mut push = |k: &str, v: u64| p.push((k.to_owned(), num(v)));
-    match *action {
-        ChaosAction::FailUnit { unit } | ChaosAction::RepairUnit { unit } => {
-            push("unit", u64::from(unit));
-        }
-        ChaosAction::FailLink { ax, ay, bx, by } | ChaosAction::RepairLink { ax, ay, bx, by } => {
-            push("ax", u64::from(ax));
-            push("ay", u64::from(ay));
-            push("bx", u64::from(bx));
-            push("by", u64::from(by));
-        }
-        ChaosAction::CellFaults {
-            unit,
-            rate_ppm,
-            stuck_on_ppm,
-            seed,
-        } => {
-            push("unit", u64::from(unit));
-            push("rate_ppm", u64::from(rate_ppm));
-            push("stuck_on_ppm", u64::from(stuck_on_ppm));
-            push("seed", u64::from(seed));
-        }
-        ChaosAction::DriftSpike { unit, drift_ppm } => {
-            push("unit", u64::from(unit));
-            push("drift_ppm", u64::from(drift_ppm));
-        }
-        ChaosAction::Congestion {
-            ax,
-            ay,
-            bx,
-            by,
-            packets,
-            bytes,
-        } => {
-            push("ax", u64::from(ax));
-            push("ay", u64::from(ay));
-            push("bx", u64::from(bx));
-            push("by", u64::from(by));
-            push("packets", u64::from(packets));
-            push("bytes", u64::from(bytes));
-        }
-        ChaosAction::ArrivalBurst { extra } => push("extra", u64::from(extra)),
-        ChaosAction::DeviceDown { device } | ChaosAction::DeviceUp { device } => {
-            push("device", u64::from(device));
-        }
-        ChaosAction::PowerLoss {
-            device,
-            restart_after_ps,
-        } => {
-            push("device", u64::from(device));
-            push("restart_after_ps", u64::from(restart_after_ps));
-        }
-        ChaosAction::ForgeToken { unit } => push("unit", u64::from(unit)),
-        ChaosAction::ReplayToken { unit, age_ps } => {
-            push("unit", u64::from(unit));
-            push("age_ps", u64::from(age_ps));
-        }
-        ChaosAction::CrossPartitionScan {
-            vx,
-            vy,
-            packets,
-            bytes,
-        } => {
-            push("vx", u64::from(vx));
-            push("vy", u64::from(vy));
-            push("packets", u64::from(packets));
-            push("bytes", u64::from(bytes));
-        }
-        ChaosAction::HostileSelfProg { seed } | ChaosAction::HostileDataflow { seed } => {
-            push("seed", u64::from(seed));
-        }
-    }
-    p
-}
-
 /// Renders a replay file to its JSON-lines text.
 pub fn render_replay(file: &ReplayFile) -> String {
     let cfg = &file.config;
@@ -200,7 +123,12 @@ pub fn render_replay(file: &ReplayFile) -> String {
             ),
             ("value".to_owned(), num(ev.at_ps)),
         ];
-        pairs.extend(action_pairs(&ev.action));
+        pairs.extend(
+            ev.action
+                .fields()
+                .into_iter()
+                .map(|(key, v)| (key.to_owned(), num(v))),
+        );
         out.push_str(&Json::Object(pairs).to_string());
         out.push('\n');
     }
@@ -231,10 +159,6 @@ fn get_hex(obj: &Json, key: &str) -> Result<u64, String> {
     u64::from_str_radix(digits, 16).map_err(|e| format!("field \"{key}\" is not hex: {e}"))
 }
 
-fn get_u16(obj: &Json, key: &str) -> Result<u16, String> {
-    u16::try_from(get_u64(obj, key)?).map_err(|_| format!("field \"{key}\" exceeds u16"))
-}
-
 fn get_u32(obj: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(get_u64(obj, key)?).map_err(|_| format!("field \"{key}\" exceeds u32"))
 }
@@ -245,77 +169,7 @@ fn parse_event(obj: &Json) -> Result<ChaosEvent, String> {
         .strip_prefix("event/")
         .ok_or_else(|| format!("event line metric {metric:?} lacks the event/ prefix"))?;
     let at_ps = get_u64(obj, "value")?;
-    let action = match kind {
-        "fail_unit" => ChaosAction::FailUnit {
-            unit: get_u16(obj, "unit")?,
-        },
-        "repair_unit" => ChaosAction::RepairUnit {
-            unit: get_u16(obj, "unit")?,
-        },
-        "fail_link" => ChaosAction::FailLink {
-            ax: get_u16(obj, "ax")?,
-            ay: get_u16(obj, "ay")?,
-            bx: get_u16(obj, "bx")?,
-            by: get_u16(obj, "by")?,
-        },
-        "repair_link" => ChaosAction::RepairLink {
-            ax: get_u16(obj, "ax")?,
-            ay: get_u16(obj, "ay")?,
-            bx: get_u16(obj, "bx")?,
-            by: get_u16(obj, "by")?,
-        },
-        "cell_faults" => ChaosAction::CellFaults {
-            unit: get_u16(obj, "unit")?,
-            rate_ppm: get_u32(obj, "rate_ppm")?,
-            stuck_on_ppm: get_u32(obj, "stuck_on_ppm")?,
-            seed: get_u32(obj, "seed")?,
-        },
-        "drift_spike" => ChaosAction::DriftSpike {
-            unit: get_u16(obj, "unit")?,
-            drift_ppm: get_u32(obj, "drift_ppm")?,
-        },
-        "congestion" => ChaosAction::Congestion {
-            ax: get_u16(obj, "ax")?,
-            ay: get_u16(obj, "ay")?,
-            bx: get_u16(obj, "bx")?,
-            by: get_u16(obj, "by")?,
-            packets: get_u16(obj, "packets")?,
-            bytes: get_u16(obj, "bytes")?,
-        },
-        "arrival_burst" => ChaosAction::ArrivalBurst {
-            extra: get_u16(obj, "extra")?,
-        },
-        "device_down" => ChaosAction::DeviceDown {
-            device: get_u16(obj, "device")?,
-        },
-        "device_up" => ChaosAction::DeviceUp {
-            device: get_u16(obj, "device")?,
-        },
-        "power_loss" => ChaosAction::PowerLoss {
-            device: get_u16(obj, "device")?,
-            restart_after_ps: get_u32(obj, "restart_after_ps")?,
-        },
-        "forge_token" => ChaosAction::ForgeToken {
-            unit: get_u16(obj, "unit")?,
-        },
-        "replay_token" => ChaosAction::ReplayToken {
-            unit: get_u16(obj, "unit")?,
-            age_ps: get_u32(obj, "age_ps")?,
-        },
-        "cross_partition_scan" => ChaosAction::CrossPartitionScan {
-            vx: get_u16(obj, "vx")?,
-            vy: get_u16(obj, "vy")?,
-            packets: get_u16(obj, "packets")?,
-            bytes: get_u16(obj, "bytes")?,
-        },
-        "hostile_self_prog" => ChaosAction::HostileSelfProg {
-            seed: get_u32(obj, "seed")?,
-        },
-        "hostile_dataflow" => ChaosAction::HostileDataflow {
-            seed: get_u32(obj, "seed")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
+    let action = ChaosAction::from_fields(kind, |key| get_u64(obj, key))?;
     Ok(ChaosEvent { at_ps, action })
 }
 

@@ -2,17 +2,19 @@
 //!
 //! A schedule is plain data — flat `Copy` events with picosecond
 //! timestamps plus two pressure knobs — deliberately decoupled from
-//! `cim_fabric`'s [`ServiceEvent`] so it can implement the in-tree
+//! `cim_fabric`'s [`FleetEvent`] so it can implement the in-tree
 //! [`Shrink`] trait (the orphan rule forbids implementing `cim_sim`'s
 //! trait for `cim_fabric`'s type) and serialize to one JSON line per
-//! event. [`ChaosSchedule::to_fleet_events`] lowers a schedule onto the
+//! event. Each action's fields are listed once, by
+//! [`ChaosAction::fields`] and [`ChaosAction::from_fields`]; shrinking
+//! and the replay file both go through that list.
+//! [`ChaosSchedule::to_fleet_events`] lowers a schedule onto the
 //! fabric's event machinery at run time, building each [`FleetEvent`]
-//! directly (device-local actions as [`FleetEvent::Device`]); a
+//! directly (device-local actions as [`FleetEvent::Inject`]); a
 //! single-device harness is a fleet of one.
 
 use cim_fabric::engine::InjectionKind;
 use cim_fabric::fleet::FleetEvent;
-use cim_fabric::service::ServiceEvent;
 use cim_noc::packet::NodeId;
 use cim_sim::prop::Shrink;
 use cim_sim::time::{SimDuration, SimTime};
@@ -218,74 +220,38 @@ impl ChaosAction {
                 | ChaosAction::HostileDataflow { .. }
         )
     }
-}
 
-/// Shrinking an action reduces its numeric fields toward zero but never
-/// changes its kind: a minimal reproducer should keep the *shape* of
-/// the failure while shedding incidental magnitude.
-impl Shrink for ChaosAction {
-    fn shrink_candidates(&self) -> Vec<Self> {
+    /// The action's fields in replay-file order, each widened to `u64`.
+    /// This list and [`ChaosAction::from_fields`] are the one place an
+    /// action's fields are spelled: the replay file renders this list,
+    /// and shrinking rebuilds the action from it one field at a time.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
         match *self {
-            ChaosAction::FailUnit { unit } => unit
-                .shrink_candidates()
-                .into_iter()
-                .map(|unit| ChaosAction::FailUnit { unit })
-                .collect(),
-            ChaosAction::RepairUnit { unit } => unit
-                .shrink_candidates()
-                .into_iter()
-                .map(|unit| ChaosAction::RepairUnit { unit })
-                .collect(),
-            ChaosAction::FailLink { ax, ay, bx, by } => shrink4(ax, ay, bx, by)
-                .into_iter()
-                .map(|(ax, ay, bx, by)| ChaosAction::FailLink { ax, ay, bx, by })
-                .collect(),
-            ChaosAction::RepairLink { ax, ay, bx, by } => shrink4(ax, ay, bx, by)
-                .into_iter()
-                .map(|(ax, ay, bx, by)| ChaosAction::RepairLink { ax, ay, bx, by })
-                .collect(),
+            ChaosAction::FailUnit { unit }
+            | ChaosAction::RepairUnit { unit }
+            | ChaosAction::ForgeToken { unit } => vec![("unit", unit.into())],
+            ChaosAction::FailLink { ax, ay, bx, by }
+            | ChaosAction::RepairLink { ax, ay, bx, by } => {
+                vec![
+                    ("ax", ax.into()),
+                    ("ay", ay.into()),
+                    ("bx", bx.into()),
+                    ("by", by.into()),
+                ]
+            }
             ChaosAction::CellFaults {
                 unit,
                 rate_ppm,
                 stuck_on_ppm,
                 seed,
-            } => {
-                let mut out = Vec::new();
-                for u in unit.shrink_candidates() {
-                    out.push(ChaosAction::CellFaults {
-                        unit: u,
-                        rate_ppm,
-                        stuck_on_ppm,
-                        seed,
-                    });
-                }
-                for r in rate_ppm.shrink_candidates() {
-                    out.push(ChaosAction::CellFaults {
-                        unit,
-                        rate_ppm: r,
-                        stuck_on_ppm,
-                        seed,
-                    });
-                }
-                for s in stuck_on_ppm.shrink_candidates() {
-                    out.push(ChaosAction::CellFaults {
-                        unit,
-                        rate_ppm,
-                        stuck_on_ppm: s,
-                        seed,
-                    });
-                }
-                out
-            }
+            } => vec![
+                ("unit", unit.into()),
+                ("rate_ppm", rate_ppm.into()),
+                ("stuck_on_ppm", stuck_on_ppm.into()),
+                ("seed", seed.into()),
+            ],
             ChaosAction::DriftSpike { unit, drift_ppm } => {
-                let mut out = Vec::new();
-                for u in unit.shrink_candidates() {
-                    out.push(ChaosAction::DriftSpike { unit: u, drift_ppm });
-                }
-                for d in drift_ppm.shrink_candidates() {
-                    out.push(ChaosAction::DriftSpike { unit, drift_ppm: d });
-                }
-                out
+                vec![("unit", unit.into()), ("drift_ppm", drift_ppm.into())]
             }
             ChaosAction::Congestion {
                 ax,
@@ -294,160 +260,165 @@ impl Shrink for ChaosAction {
                 by,
                 packets,
                 bytes,
-            } => {
-                let mut out = Vec::new();
-                for p in packets.shrink_candidates() {
-                    out.push(ChaosAction::Congestion {
-                        ax,
-                        ay,
-                        bx,
-                        by,
-                        packets: p,
-                        bytes,
-                    });
-                }
-                for b in bytes.shrink_candidates() {
-                    out.push(ChaosAction::Congestion {
-                        ax,
-                        ay,
-                        bx,
-                        by,
-                        packets,
-                        bytes: b,
-                    });
-                }
-                for (ax, ay, bx, by) in shrink4(ax, ay, bx, by) {
-                    out.push(ChaosAction::Congestion {
-                        ax,
-                        ay,
-                        bx,
-                        by,
-                        packets,
-                        bytes,
-                    });
-                }
-                out
+            } => vec![
+                ("ax", ax.into()),
+                ("ay", ay.into()),
+                ("bx", bx.into()),
+                ("by", by.into()),
+                ("packets", packets.into()),
+                ("bytes", bytes.into()),
+            ],
+            ChaosAction::ArrivalBurst { extra } => vec![("extra", extra.into())],
+            ChaosAction::DeviceDown { device } | ChaosAction::DeviceUp { device } => {
+                vec![("device", device.into())]
             }
-            ChaosAction::ArrivalBurst { extra } => extra
-                .shrink_candidates()
-                .into_iter()
-                .map(|extra| ChaosAction::ArrivalBurst { extra })
-                .collect(),
-            ChaosAction::DeviceDown { device } => device
-                .shrink_candidates()
-                .into_iter()
-                .map(|device| ChaosAction::DeviceDown { device })
-                .collect(),
-            ChaosAction::DeviceUp { device } => device
-                .shrink_candidates()
-                .into_iter()
-                .map(|device| ChaosAction::DeviceUp { device })
-                .collect(),
             ChaosAction::PowerLoss {
                 device,
                 restart_after_ps,
-            } => {
-                let mut out = Vec::new();
-                for d in device.shrink_candidates() {
-                    out.push(ChaosAction::PowerLoss {
-                        device: d,
-                        restart_after_ps,
-                    });
-                }
-                for r in restart_after_ps.shrink_candidates() {
-                    out.push(ChaosAction::PowerLoss {
-                        device,
-                        restart_after_ps: r,
-                    });
-                }
-                out
-            }
-            ChaosAction::ForgeToken { unit } => unit
-                .shrink_candidates()
-                .into_iter()
-                .map(|unit| ChaosAction::ForgeToken { unit })
-                .collect(),
+            } => vec![
+                ("device", device.into()),
+                ("restart_after_ps", restart_after_ps.into()),
+            ],
             ChaosAction::ReplayToken { unit, age_ps } => {
-                let mut out = Vec::new();
-                for u in unit.shrink_candidates() {
-                    out.push(ChaosAction::ReplayToken { unit: u, age_ps });
-                }
-                for a in age_ps.shrink_candidates() {
-                    out.push(ChaosAction::ReplayToken { unit, age_ps: a });
-                }
-                out
+                vec![("unit", unit.into()), ("age_ps", age_ps.into())]
             }
             ChaosAction::CrossPartitionScan {
                 vx,
                 vy,
                 packets,
                 bytes,
-            } => {
-                let mut out = Vec::new();
-                for v in vx.shrink_candidates() {
-                    out.push(ChaosAction::CrossPartitionScan {
-                        vx: v,
-                        vy,
-                        packets,
-                        bytes,
-                    });
-                }
-                for v in vy.shrink_candidates() {
-                    out.push(ChaosAction::CrossPartitionScan {
-                        vx,
-                        vy: v,
-                        packets,
-                        bytes,
-                    });
-                }
-                for p in packets.shrink_candidates() {
-                    out.push(ChaosAction::CrossPartitionScan {
-                        vx,
-                        vy,
-                        packets: p,
-                        bytes,
-                    });
-                }
-                for b in bytes.shrink_candidates() {
-                    out.push(ChaosAction::CrossPartitionScan {
-                        vx,
-                        vy,
-                        packets,
-                        bytes: b,
-                    });
-                }
-                out
+            } => vec![
+                ("vx", vx.into()),
+                ("vy", vy.into()),
+                ("packets", packets.into()),
+                ("bytes", bytes.into()),
+            ],
+            ChaosAction::HostileSelfProg { seed } | ChaosAction::HostileDataflow { seed } => {
+                vec![("seed", seed.into())]
             }
-            ChaosAction::HostileSelfProg { seed } => seed
-                .shrink_candidates()
-                .into_iter()
-                .map(|seed| ChaosAction::HostileSelfProg { seed })
-                .collect(),
-            ChaosAction::HostileDataflow { seed } => seed
-                .shrink_candidates()
-                .into_iter()
-                .map(|seed| ChaosAction::HostileDataflow { seed })
-                .collect(),
         }
+    }
+
+    /// Builds the action named `kind` (a [`ChaosAction::kind_name`]),
+    /// reading each of its fields through `field`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown kind, the first error `field` returns, or a value too
+    /// wide for its field (`field "x" exceeds u16`).
+    pub fn from_fields(
+        kind: &str,
+        mut field: impl FnMut(&str) -> Result<u64, String>,
+    ) -> Result<ChaosAction, String> {
+        let f = &mut field;
+        Ok(match kind {
+            "fail_unit" => ChaosAction::FailUnit {
+                unit: narrow(f, "unit")?,
+            },
+            "repair_unit" => ChaosAction::RepairUnit {
+                unit: narrow(f, "unit")?,
+            },
+            "fail_link" => ChaosAction::FailLink {
+                ax: narrow(f, "ax")?,
+                ay: narrow(f, "ay")?,
+                bx: narrow(f, "bx")?,
+                by: narrow(f, "by")?,
+            },
+            "repair_link" => ChaosAction::RepairLink {
+                ax: narrow(f, "ax")?,
+                ay: narrow(f, "ay")?,
+                bx: narrow(f, "bx")?,
+                by: narrow(f, "by")?,
+            },
+            "cell_faults" => ChaosAction::CellFaults {
+                unit: narrow(f, "unit")?,
+                rate_ppm: narrow(f, "rate_ppm")?,
+                stuck_on_ppm: narrow(f, "stuck_on_ppm")?,
+                seed: narrow(f, "seed")?,
+            },
+            "drift_spike" => ChaosAction::DriftSpike {
+                unit: narrow(f, "unit")?,
+                drift_ppm: narrow(f, "drift_ppm")?,
+            },
+            "congestion" => ChaosAction::Congestion {
+                ax: narrow(f, "ax")?,
+                ay: narrow(f, "ay")?,
+                bx: narrow(f, "bx")?,
+                by: narrow(f, "by")?,
+                packets: narrow(f, "packets")?,
+                bytes: narrow(f, "bytes")?,
+            },
+            "arrival_burst" => ChaosAction::ArrivalBurst {
+                extra: narrow(f, "extra")?,
+            },
+            "device_down" => ChaosAction::DeviceDown {
+                device: narrow(f, "device")?,
+            },
+            "device_up" => ChaosAction::DeviceUp {
+                device: narrow(f, "device")?,
+            },
+            "power_loss" => ChaosAction::PowerLoss {
+                device: narrow(f, "device")?,
+                restart_after_ps: narrow(f, "restart_after_ps")?,
+            },
+            "forge_token" => ChaosAction::ForgeToken {
+                unit: narrow(f, "unit")?,
+            },
+            "replay_token" => ChaosAction::ReplayToken {
+                unit: narrow(f, "unit")?,
+                age_ps: narrow(f, "age_ps")?,
+            },
+            "cross_partition_scan" => ChaosAction::CrossPartitionScan {
+                vx: narrow(f, "vx")?,
+                vy: narrow(f, "vy")?,
+                packets: narrow(f, "packets")?,
+                bytes: narrow(f, "bytes")?,
+            },
+            "hostile_self_prog" => ChaosAction::HostileSelfProg {
+                seed: narrow(f, "seed")?,
+            },
+            "hostile_dataflow" => ChaosAction::HostileDataflow {
+                seed: narrow(f, "seed")?,
+            },
+            other => return Err(format!("unknown event kind {other:?}")),
+        })
     }
 }
 
-/// Shrink one coordinate of a 4-tuple at a time.
-fn shrink4(ax: u16, ay: u16, bx: u16, by: u16) -> Vec<(u16, u16, u16, u16)> {
-    let mut out = Vec::new();
-    for a in ax.shrink_candidates() {
-        out.push((a, ay, bx, by));
+/// Reads field `key` through `field` and narrows it to the field's
+/// integer type, refusing a value past that type's width.
+fn narrow<T: TryFrom<u64>>(
+    field: &mut impl FnMut(&str) -> Result<u64, String>,
+    key: &str,
+) -> Result<T, String> {
+    T::try_from(field(key)?)
+        .map_err(|_| format!("field \"{key}\" exceeds u{}", 8 * std::mem::size_of::<T>()))
+}
+
+/// Shrinking an action reduces its numeric fields toward zero but never
+/// changes its kind: a minimal reproducer should keep the *shape* of
+/// the failure while shedding incidental magnitude. Fields shrink one
+/// at a time, in [`ChaosAction::fields`] order.
+impl Shrink for ChaosAction {
+    fn shrink_candidates(&self) -> Vec<Self> {
+        let fields = self.fields();
+        let mut out = Vec::new();
+        for (i, &(_, value)) in fields.iter().enumerate() {
+            for smaller in value.shrink_candidates() {
+                let mut shrunk = fields.clone();
+                shrunk[i].1 = smaller;
+                let action = ChaosAction::from_fields(self.kind_name(), |key| {
+                    shrunk
+                        .iter()
+                        .find(|&&(name, _)| name == key)
+                        .map(|&(_, v)| v)
+                        .ok_or_else(|| format!("no field \"{key}\""))
+                });
+                out.push(action.expect("a smaller field value fits its width"));
+            }
+        }
+        out
     }
-    for a in ay.shrink_candidates() {
-        out.push((ax, a, bx, by));
-    }
-    for b in bx.shrink_candidates() {
-        out.push((ax, ay, b, by));
-    }
-    for b in by.shrink_candidates() {
-        out.push((ax, ay, bx, b));
-    }
-    out
 }
 
 /// One timed chaos event.
@@ -478,23 +449,15 @@ impl ChaosEvent {
         let local = |unit: u16| usize::from(unit) % per;
         let coord_device =
             |coords: [u16; 4]| coords.into_iter().map(usize::from).sum::<usize>() % n;
-        let on = |device: usize, event: ServiceEvent| FleetEvent::Device { device, event };
-        let inject =
-            |device: usize, kind: InjectionKind| on(device, ServiceEvent::Inject { at, kind });
+        let inject = |device: usize, kind: InjectionKind| FleetEvent::Inject { at, device, kind };
         match self.action {
-            ChaosAction::FailUnit { unit } => on(
+            ChaosAction::FailUnit { unit } => inject(
                 unit_device(unit),
-                ServiceEvent::FailUnit {
-                    at,
-                    unit: local(unit),
-                },
+                InjectionKind::FailUnit { unit: local(unit) },
             ),
-            ChaosAction::RepairUnit { unit } => on(
+            ChaosAction::RepairUnit { unit } => inject(
                 unit_device(unit),
-                ServiceEvent::RepairUnit {
-                    at,
-                    unit: local(unit),
-                },
+                InjectionKind::RepairUnit { unit: local(unit) },
             ),
             ChaosAction::FailLink { ax, ay, bx, by } => inject(
                 coord_device([ax, ay, bx, by]),
@@ -777,6 +740,128 @@ impl Shrink for ChaosSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_sim::prop::{check, PropConfig};
+    use cim_sim::rng::Rng;
+    use cim_sim::{prop_assert, prop_assert_eq};
+
+    /// A random action, its kind uniform over all 16 and every field
+    /// drawn over its whole width.
+    fn random_action(rng: &mut impl Rng) -> ChaosAction {
+        match rng.gen_range(0u32..16) {
+            0 => ChaosAction::FailUnit { unit: rng.gen() },
+            1 => ChaosAction::RepairUnit { unit: rng.gen() },
+            2 => ChaosAction::FailLink {
+                ax: rng.gen(),
+                ay: rng.gen(),
+                bx: rng.gen(),
+                by: rng.gen(),
+            },
+            3 => ChaosAction::RepairLink {
+                ax: rng.gen(),
+                ay: rng.gen(),
+                bx: rng.gen(),
+                by: rng.gen(),
+            },
+            4 => ChaosAction::CellFaults {
+                unit: rng.gen(),
+                rate_ppm: rng.gen(),
+                stuck_on_ppm: rng.gen(),
+                seed: rng.gen(),
+            },
+            5 => ChaosAction::DriftSpike {
+                unit: rng.gen(),
+                drift_ppm: rng.gen(),
+            },
+            6 => ChaosAction::Congestion {
+                ax: rng.gen(),
+                ay: rng.gen(),
+                bx: rng.gen(),
+                by: rng.gen(),
+                packets: rng.gen(),
+                bytes: rng.gen(),
+            },
+            7 => ChaosAction::ArrivalBurst { extra: rng.gen() },
+            8 => ChaosAction::DeviceDown { device: rng.gen() },
+            9 => ChaosAction::DeviceUp { device: rng.gen() },
+            10 => ChaosAction::PowerLoss {
+                device: rng.gen(),
+                restart_after_ps: rng.gen(),
+            },
+            11 => ChaosAction::ForgeToken { unit: rng.gen() },
+            12 => ChaosAction::ReplayToken {
+                unit: rng.gen(),
+                age_ps: rng.gen(),
+            },
+            13 => ChaosAction::CrossPartitionScan {
+                vx: rng.gen(),
+                vy: rng.gen(),
+                packets: rng.gen(),
+                bytes: rng.gen(),
+            },
+            14 => ChaosAction::HostileSelfProg { seed: rng.gen() },
+            _ => ChaosAction::HostileDataflow { seed: rng.gen() },
+        }
+    }
+
+    #[test]
+    fn field_lists_rebuild_every_action_and_shrink_one_field_at_a_time() {
+        check(
+            "fields rebuild the action; a shrink lowers one field",
+            &PropConfig::cases(512),
+            random_action,
+            |action| {
+                let fields = action.fields();
+                let rebuilt = ChaosAction::from_fields(action.kind_name(), |key| {
+                    fields
+                        .iter()
+                        .find(|&&(name, _)| name == key)
+                        .map(|&(_, v)| v)
+                        .ok_or_else(|| format!("no field {key:?}"))
+                })?;
+                prop_assert_eq!(rebuilt, *action);
+                for cand in action.shrink_candidates() {
+                    prop_assert_eq!(cand.kind_name(), action.kind_name());
+                    let shrunk = cand.fields();
+                    let changed: Vec<usize> = (0..fields.len())
+                        .filter(|&i| shrunk[i] != fields[i])
+                        .collect();
+                    prop_assert!(
+                        changed.len() == 1 && shrunk[changed[0]].1 < fields[changed[0]].1,
+                        "{cand:?} must lower exactly one field of {action:?}"
+                    );
+                }
+                Ok(())
+            },
+        );
+        // A value one past its field's width is refused, naming the
+        // field and the width; the widest value that fits is accepted.
+        let one_field = |kind: &str, key: &'static str, v: u64| {
+            ChaosAction::from_fields(kind, |k| Ok(if k == key { v } else { 0 }))
+        };
+        assert_eq!(
+            one_field("fail_unit", "unit", 65_536),
+            Err("field \"unit\" exceeds u16".to_owned())
+        );
+        assert_eq!(
+            one_field("fail_unit", "unit", 65_535),
+            Ok(ChaosAction::FailUnit { unit: u16::MAX })
+        );
+        assert_eq!(
+            one_field("drift_spike", "drift_ppm", 1 << 32),
+            Err("field \"drift_ppm\" exceeds u32".to_owned())
+        );
+        assert_eq!(
+            one_field("drift_spike", "drift_ppm", u64::from(u32::MAX)),
+            Ok(ChaosAction::DriftSpike {
+                unit: 0,
+                drift_ppm: u32::MAX,
+            })
+        );
+        assert_eq!(
+            ChaosAction::from_fields("meteor_strike", |_| Ok(0)),
+            Err("unknown event kind \"meteor_strike\"".to_owned())
+        );
+    }
 
     #[test]
     fn shrink_candidates_preserve_action_kind() {
@@ -861,10 +946,7 @@ mod tests {
             assert!(
                 matches!(
                     ev.to_fleet_event(1, 16),
-                    FleetEvent::Device {
-                        device: 0,
-                        event: ServiceEvent::Inject { .. },
-                    }
+                    FleetEvent::Inject { device: 0, .. }
                 ),
                 "attacks lower everywhere"
             );
@@ -876,7 +958,7 @@ mod tests {
             action: ChaosAction::ForgeToken { unit: 21 },
         };
         match ev.to_fleet_event(4, 16) {
-            FleetEvent::Device { device, .. } => assert_eq!(device, 1),
+            FleetEvent::Inject { device, .. } => assert_eq!(device, 1),
             other => panic!("unexpected lowering: {other:?}"),
         }
         let sched = ChaosSchedule {
@@ -956,9 +1038,10 @@ mod tests {
             action: ChaosAction::FailUnit { unit: 21 },
         };
         match ev.to_fleet_event(4, 16) {
-            FleetEvent::Device {
+            FleetEvent::Inject {
                 device,
-                event: ServiceEvent::FailUnit { unit, .. },
+                kind: InjectionKind::FailUnit { unit },
+                ..
             } => {
                 assert_eq!(device, 1);
                 assert_eq!(unit, 5);
@@ -988,8 +1071,7 @@ mod tests {
         let at = SimTime::from_ps(7);
         let max = u16::MAX;
         let node = |x: u16, y: u16| NodeId { x, y };
-        let on = |device: usize, event: ServiceEvent| FleetEvent::Device { device, event };
-        let inject = |kind: InjectionKind| ServiceEvent::Inject { at, kind };
+        let inject = |device: usize, kind: InjectionKind| FleetEvent::Inject { at, device, kind };
         // (action, lowering on 1 device, lowering on 4 devices), 16
         // units per device; one row per action kind. Linear unit u
         // lands on device (u / 16) % n as local unit u % 16; mesh
@@ -998,13 +1080,13 @@ mod tests {
         let cases = [
             (
                 ChaosAction::FailUnit { unit: 21 },
-                on(0, ServiceEvent::FailUnit { at, unit: 5 }),
-                on(1, ServiceEvent::FailUnit { at, unit: 5 }),
+                inject(0, InjectionKind::FailUnit { unit: 5 }),
+                inject(1, InjectionKind::FailUnit { unit: 5 }),
             ),
             (
                 ChaosAction::RepairUnit { unit: max },
-                on(0, ServiceEvent::RepairUnit { at, unit: 15 }),
-                on(3, ServiceEvent::RepairUnit { at, unit: 15 }),
+                inject(0, InjectionKind::RepairUnit { unit: 15 }),
+                inject(3, InjectionKind::RepairUnit { unit: 15 }),
             ),
             (
                 ChaosAction::FailLink {
@@ -1013,19 +1095,19 @@ mod tests {
                     bx: 300,
                     by: max,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::FailLink {
+                    InjectionKind::FailLink {
                         a: node(7, 0),
                         b: node(300, max),
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     2,
-                    inject(InjectionKind::FailLink {
+                    InjectionKind::FailLink {
                         a: node(7, 0),
                         b: node(300, max),
-                    }),
+                    },
                 ),
             ),
             (
@@ -1035,19 +1117,19 @@ mod tests {
                     bx: 5,
                     by: 3,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::RepairLink {
+                    InjectionKind::RepairLink {
                         a: node(4, 3),
                         b: node(5, 3),
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     3,
-                    inject(InjectionKind::RepairLink {
+                    InjectionKind::RepairLink {
                         a: node(4, 3),
                         b: node(5, 3),
-                    }),
+                    },
                 ),
             ),
             (
@@ -1057,23 +1139,23 @@ mod tests {
                     stuck_on_ppm: 1,
                     seed: u32::MAX,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::CellFaults {
+                    InjectionKind::CellFaults {
                         unit: 0,
                         rate_ppm: u32::MAX,
                         stuck_on_ppm: 1,
                         seed: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::CellFaults {
+                    InjectionKind::CellFaults {
                         unit: 0,
                         rate_ppm: u32::MAX,
                         stuck_on_ppm: 1,
                         seed: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
             ),
             (
@@ -1081,19 +1163,19 @@ mod tests {
                     unit: max,
                     drift_ppm: 250,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::DriftSpike {
+                    InjectionKind::DriftSpike {
                         unit: 15,
                         drift_ppm: 250,
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     3,
-                    inject(InjectionKind::DriftSpike {
+                    InjectionKind::DriftSpike {
                         unit: 15,
                         drift_ppm: 250,
-                    }),
+                    },
                 ),
             ),
             (
@@ -1105,23 +1187,23 @@ mod tests {
                     packets: max,
                     bytes: 0,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::Congestion {
+                    InjectionKind::Congestion {
                         from: node(9, 9),
                         to: node(max, 0),
                         packets: max,
                         bytes: 0,
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     1,
-                    inject(InjectionKind::Congestion {
+                    InjectionKind::Congestion {
                         from: node(9, 9),
                         to: node(max, 0),
                         packets: max,
                         bytes: 0,
-                    }),
+                    },
                 ),
             ),
             (
@@ -1157,27 +1239,27 @@ mod tests {
             ),
             (
                 ChaosAction::ForgeToken { unit: 21 },
-                on(0, inject(InjectionKind::TokenForge { unit: 5 })),
-                on(1, inject(InjectionKind::TokenForge { unit: 5 })),
+                inject(0, InjectionKind::TokenForge { unit: 5 }),
+                inject(1, InjectionKind::TokenForge { unit: 5 }),
             ),
             (
                 ChaosAction::ReplayToken {
                     unit: 0,
                     age_ps: u32::MAX,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::TokenReplay {
+                    InjectionKind::TokenReplay {
                         unit: 0,
                         age_ps: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::TokenReplay {
+                    InjectionKind::TokenReplay {
                         unit: 0,
                         age_ps: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
             ),
             (
@@ -1187,42 +1269,42 @@ mod tests {
                     packets: 3,
                     bytes: 64,
                 },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::CrossPartitionScan {
+                    InjectionKind::CrossPartitionScan {
                         victim: node(6, max),
                         packets: 3,
                         bytes: 64,
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     1,
-                    inject(InjectionKind::CrossPartitionScan {
+                    InjectionKind::CrossPartitionScan {
                         victim: node(6, max),
                         packets: 3,
                         bytes: 64,
-                    }),
+                    },
                 ),
             ),
             (
                 ChaosAction::HostileSelfProg { seed: u32::MAX },
-                on(
+                inject(
                     0,
-                    inject(InjectionKind::HostileSelfProg {
+                    InjectionKind::HostileSelfProg {
                         seed: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
-                on(
+                inject(
                     3,
-                    inject(InjectionKind::HostileSelfProg {
+                    InjectionKind::HostileSelfProg {
                         seed: u64::from(u32::MAX),
-                    }),
+                    },
                 ),
             ),
             (
                 ChaosAction::HostileDataflow { seed: 6 },
-                on(0, inject(InjectionKind::HostileDataflow { seed: 6 })),
-                on(2, inject(InjectionKind::HostileDataflow { seed: 6 })),
+                inject(0, InjectionKind::HostileDataflow { seed: 6 }),
+                inject(2, InjectionKind::HostileDataflow { seed: 6 }),
             ),
         ];
         let mut kinds: Vec<&str> = cases.iter().map(|(a, ..)| a.kind_name()).collect();

@@ -54,11 +54,11 @@
 //! outcome storage is turned off for soaks.
 
 use crate::config::FabricConfig;
-use crate::engine::{Injection, Served};
+use crate::engine::{Injection, InjectionKind, Served};
 use crate::error::{FabricError, Result};
 use crate::mapper::MappingPolicy;
 use crate::runtime::{CimRuntime, JobId, JobStatus};
-use crate::service::{Disposition, LatencyStats, RequestOutcome, ServiceConfig, ServiceEvent};
+use crate::service::{Disposition, LatencyStats, RequestOutcome, ServiceConfig};
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
 use cim_dataflow::ops::Operation;
 use cim_sim::energy::Energy;
@@ -125,16 +125,34 @@ pub enum FleetEvent {
         /// Fleet device index.
         device: usize,
     },
-    /// A device-local serviceability event (unit/link faults, repairs,
-    /// injections), with unit/tile coordinates local to that device.
-    Device {
+    /// An engine injection on one device (unit or link fault, repair,
+    /// congestion burst, cell faults, drift spike, attack probe), with
+    /// unit and tile coordinates local to that device.
+    ///
+    /// Each injection lands exactly once. Injections due by a dispatch
+    /// are applied by the device's event cursor before the attempt runs;
+    /// the still-future ones, up to the device's next power loss, are
+    /// handed to the engine as a borrowed tail, so an injection whose
+    /// time falls *inside* a request's execution lands at that precise
+    /// sim-time point instead of waiting for the next dispatch boundary.
+    /// The engine reports how many it applied, also when the attempt
+    /// fails, and the cursor moves past them. This matters beyond
+    /// bookkeeping: health and link events are absolute state-sets, but
+    /// [`InjectionKind::DriftSpike`] compounds,
+    /// [`InjectionKind::Congestion`] sends its burst again and an attack
+    /// logs its probes again when applied twice. An injection scheduled
+    /// after a power loss lands after that crash's recovery pass.
+    Inject {
+        /// Simulated time the injection lands.
+        at: SimTime,
         /// Fleet device index.
         device: usize,
-        /// The device-local event.
-        event: ServiceEvent,
+        /// What it does.
+        kind: InjectionKind,
     },
-    /// An arrival burst at the fleet front door (see
-    /// [`ServiceEvent::ArrivalBurst`]).
+    /// An arrival burst at the fleet front door: the next `extra`
+    /// open-loop arrivals after `at` land back-to-back at the same
+    /// instant, hammering the admission queue.
     ArrivalBurst {
         /// Simulated time the burst begins.
         at: SimTime,
@@ -163,9 +181,9 @@ impl FleetEvent {
         match *self {
             FleetEvent::DeviceDown { at, .. }
             | FleetEvent::DeviceUp { at, .. }
+            | FleetEvent::Inject { at, .. }
             | FleetEvent::ArrivalBurst { at, .. }
             | FleetEvent::PowerLoss { at, .. } => at,
-            FleetEvent::Device { event, .. } => event.at(),
         }
     }
 }
@@ -391,39 +409,18 @@ impl DeviceFeed {
 
 impl Schedule {
     /// Sorts `events` by time and splits them across `n` devices. A
-    /// device-local [`ServiceEvent::PowerLoss`] or
-    /// [`ServiceEvent::ArrivalBurst`] nested in [`FleetEvent::Device`]
-    /// is lowered exactly like its top-level spelling. A down or a
-    /// crash landing inside an open outage, or inside the detection
-    /// window `detect` of the previous one's start, is shadowed: the
-    /// router has not re-admitted the device yet, so a flap is one
-    /// outage, not two, and a crash while dark kills nothing new.
+    /// down or a crash landing inside an open outage, or inside the
+    /// detection window `detect` of the previous one's start, is
+    /// shadowed: the router has not re-admitted the device yet, so a
+    /// flap is one outage, not two, and a crash while dark kills nothing
+    /// new.
     ///
     /// # Errors
     ///
     /// [`FabricError::InvalidConfig`] for an event naming a device
     /// outside the fleet.
     fn new(events: &[FleetEvent], n: usize, detect: SimDuration) -> Result<Schedule> {
-        let mut events = events
-            .iter()
-            .map(|&ev| match ev {
-                FleetEvent::Device { device, event } => {
-                    check_device(device, n)?;
-                    Ok(match event {
-                        ServiceEvent::PowerLoss { at, restart_after } => FleetEvent::PowerLoss {
-                            at,
-                            device,
-                            restart_after,
-                        },
-                        ServiceEvent::ArrivalBurst { at, extra } => {
-                            FleetEvent::ArrivalBurst { at, extra }
-                        }
-                        _ => ev,
-                    })
-                }
-                _ => Ok(ev),
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let mut events = events.to_vec();
         events.sort_by_key(FleetEvent::at);
         let mut s = Schedule {
             outages: vec![Vec::new(); n],
@@ -472,10 +469,9 @@ impl Schedule {
                         feed.power_losses.push((at, feed.injections.len()));
                     }
                 }
-                // Every other device-local event is an engine injection:
-                // bursts and power losses were lowered above.
-                FleetEvent::Device { device, event } => {
-                    s.feeds[device].injections.extend(event.to_injection());
+                FleetEvent::Inject { at, device, kind } => {
+                    check_device(device, n)?;
+                    s.feeds[device].injections.push(Injection { at, kind });
                 }
                 FleetEvent::ArrivalBurst { at, extra } => s.bursts.push((at, extra)),
             }
@@ -1437,6 +1433,7 @@ fn first_down_start_in(outages: &[Outage], after: SimTime, until: SimTime) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ServiceEvent;
     use cim_crossbar::dpe::DpeConfig;
     use cim_dataflow::graph::GraphBuilder;
     use cim_dataflow::ops::{Elementwise, Operation};
@@ -1628,7 +1625,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_power_loss_and_burst_match_their_top_level_spelling() {
+    fn service_event_lowering_runs_like_the_top_level_spelling() {
         // A crash halfway through the first request on the class's only
         // replica, and a burst at the front door.
         let probe = fleet(2, 1).run_open_loop(10_000.0, 50, &[]).expect("probe");
@@ -1665,9 +1662,9 @@ mod tests {
                 .run_open_loop(10_000.0, 50, &[top])
                 .expect("top-level spelling");
             let got = fleet(2, 1)
-                .run_open_loop(10_000.0, 50, &[FleetEvent::Device { device, event }])
-                .expect("nested spelling");
-            assert_eq!(got, want, "{event:?} nested vs top-level");
+                .run_open_loop(10_000.0, 50, &[event.to_fleet_event(device)])
+                .expect("lowered spelling");
+            assert_eq!(got, want, "{event:?} lowered vs top-level");
             reports.push(want);
         }
         let (crash, burst) = (&reports[0], &reports[1]);

@@ -15,8 +15,10 @@
 //! `service/*`.
 //!
 //! This module also holds the request vocabulary the fleet speaks:
-//! [`ServiceConfig`], [`ServiceEvent`], [`Disposition`],
-//! [`RequestOutcome`] and [`LatencyStats`].
+//! [`ServiceConfig`], [`Disposition`], [`RequestOutcome`] and
+//! [`LatencyStats`]. A service's events are [`ServiceEvent`]s, its
+//! one-device spelling of a [`FleetEvent`]; [`ServiceEvent::to_fleet_event`]
+//! lowers each one onto device 0.
 //!
 //! ```text
 //! arrivals ──► admission (queue bound) ──► dispatch ──► engine
@@ -26,7 +28,7 @@
 //! ```
 
 use crate::config::FabricConfig;
-use crate::engine::{Injection, InjectionKind};
+use crate::engine::InjectionKind;
 use crate::error::Result;
 use crate::fleet::{CimFleet, FleetConfig, FleetEvent, FleetReport};
 use crate::runtime::{CimRuntime, JobId};
@@ -63,20 +65,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A scheduled serviceability event applied while the stream runs.
-///
-/// Each event lands exactly once. Events due by a dispatch are applied
-/// by the device's event cursor before the attempt runs; the
-/// still-future injections, up to the device's next power loss, are
-/// handed to the engine as a borrowed tail, so an event whose time falls
-/// *inside* a request's execution lands at that precise sim-time point
-/// instead of waiting for the next dispatch boundary. The engine reports
-/// how many it applied, also when the attempt fails, and the cursor
-/// moves past them. This matters beyond bookkeeping: health and link
-/// events are absolute state-sets, but [`InjectionKind::DriftSpike`]
-/// compounds, [`InjectionKind::Congestion`] sends its burst again and an
-/// attack logs its probes again when applied twice. An injection
-/// scheduled after a power loss lands after that crash's recovery pass.
+/// A scheduled event on a [`CimService`]: its one-device spelling of a
+/// [`FleetEvent`]. [`ServiceEvent::to_fleet_event`] lowers it, and
+/// [`FleetEvent::Inject`] documents how an injection lands exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceEvent {
     /// Hard-fail a unit (detected by the engine on next dispatch).
@@ -138,22 +129,21 @@ impl ServiceEvent {
         }
     }
 
-    /// The engine-level injection this event maps to; `None` for
-    /// service-layer-only events ([`ServiceEvent::ArrivalBurst`],
-    /// [`ServiceEvent::PowerLoss`] — a crash never rides into the
-    /// engine; the straddled attempt is voided instead).
-    pub fn to_injection(&self) -> Option<Injection> {
-        match *self {
-            ServiceEvent::FailUnit { at, unit } => Some(Injection {
+    /// This event on fleet device `device`: unit faults and repairs
+    /// become [`FleetEvent::Inject`] with the matching [`InjectionKind`],
+    /// and a burst or a power loss keeps its top-level spelling.
+    pub fn to_fleet_event(self, device: usize) -> FleetEvent {
+        let inject = |at, kind| FleetEvent::Inject { at, device, kind };
+        match self {
+            ServiceEvent::FailUnit { at, unit } => inject(at, InjectionKind::FailUnit { unit }),
+            ServiceEvent::RepairUnit { at, unit } => inject(at, InjectionKind::RepairUnit { unit }),
+            ServiceEvent::Inject { at, kind } => inject(at, kind),
+            ServiceEvent::ArrivalBurst { at, extra } => FleetEvent::ArrivalBurst { at, extra },
+            ServiceEvent::PowerLoss { at, restart_after } => FleetEvent::PowerLoss {
                 at,
-                kind: InjectionKind::FailUnit { unit },
-            }),
-            ServiceEvent::RepairUnit { at, unit } => Some(Injection {
-                at,
-                kind: InjectionKind::RepairUnit { unit },
-            }),
-            ServiceEvent::Inject { at, kind } => Some(Injection { at, kind }),
-            ServiceEvent::ArrivalBurst { .. } | ServiceEvent::PowerLoss { .. } => None,
+                device,
+                restart_after,
+            },
         }
     }
 }
@@ -332,10 +322,7 @@ impl CimService {
         n: usize,
         events: &[ServiceEvent],
     ) -> Result<FleetReport> {
-        let events: Vec<FleetEvent> = events
-            .iter()
-            .map(|&event| FleetEvent::Device { device: 0, event })
-            .collect();
+        let events: Vec<FleetEvent> = events.iter().map(|e| e.to_fleet_event(0)).collect();
         self.fleet.run_open_loop(rate_hz, n, &events)
     }
 }
@@ -343,6 +330,7 @@ impl CimService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Injection;
     use crate::error::FabricError;
     use crate::fleet::backoff_delay;
     use cim_crossbar::dpe::DpeConfig;

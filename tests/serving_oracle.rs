@@ -955,19 +955,6 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-/// Lowers a service event onto device 0 of a fleet.
-fn lower(ev: ServiceEvent) -> FleetEvent {
-    match ev {
-        ServiceEvent::ArrivalBurst { at, extra } => FleetEvent::ArrivalBurst { at, extra },
-        ServiceEvent::PowerLoss { at, restart_after } => FleetEvent::PowerLoss {
-            at,
-            device: 0,
-            restart_after,
-        },
-        event => FleetEvent::Device { device: 0, event },
-    }
-}
-
 /// Serves `row` on a one-service target.
 fn run_service(
     row: &Row,
@@ -1081,7 +1068,7 @@ fn a_fleet_of_one_serves_like_a_service() {
             failover_detect: SimDuration::ZERO,
             ..FleetConfig::default()
         };
-        let lowered: Vec<FleetEvent> = events.iter().map(|&e| lower(e)).collect();
+        let lowered: Vec<FleetEvent> = events.iter().map(|e| e.to_fleet_event(0)).collect();
         let (r, export) = run_fleet(&row, &one, &lowered);
         assert_eq!(observe!(r, export), want, "{}: report", row.name);
         assert_eq!(r.outcomes, want_outcomes, "{}: outcomes", row.name);
