@@ -26,7 +26,7 @@ use cim_dataflow::graph::GraphBuilder;
 use cim_dataflow::interpreter;
 use cim_dataflow::ops::{Elementwise, Operation};
 use cim_dataflow::program::Patch;
-use cim_noc::packet::{NodeId, Packet, TrafficClass};
+use cim_noc::packet::{NodeId, Packet};
 use cim_sim::rng::splitmix64;
 use cim_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -463,41 +463,50 @@ pub fn attack_cross_partition(
     }
     let len = bytes.max(1) as usize;
     for _ in 0..packets.max(1) {
-        // Injection: attacker → victim partition.
-        let id = device.next_packet_id();
-        let pkt = Packet::new(id, tile, victim, vec![ATTACK_MARKER; len])
-            .with_class(TrafficClass::BestEffort);
-        adv.log.attempts += 1;
-        let delivered = {
-            let (_, noc) = device.units_and_noc_mut();
-            noc.transmit(&pkt, now).is_ok()
-        };
-        if delivered {
-            adv.log.cross_deliveries += 1;
-            let touched = device.units_on_tile(victim);
-            adv.log.touch_all(touched);
-        } else {
-            adv.log.blocked += 1;
-        }
-        // Exfiltration: victim partition bytes → attacker.
-        let id = device.next_packet_id();
-        let pkt = Packet::new(id, victim, tile, vec![VICTIM_MARKER; len])
-            .with_class(TrafficClass::BestEffort);
-        adv.log.attempts += 1;
-        let res = {
-            let (_, noc) = device.units_and_noc_mut();
-            noc.transmit(&pkt, now)
-        };
-        match res {
-            Ok(d) => {
-                adv.log.cross_deliveries += 1;
-                adv.log.leaked_bytes +=
-                    d.payload.iter().filter(|&&b| b == VICTIM_MARKER).count() as u64;
-            }
-            Err(_) => adv.log.blocked += 1,
-        }
+        let pkt = Packet::new(
+            device.next_packet_id(),
+            tile,
+            victim,
+            vec![ATTACK_MARKER; len],
+        );
+        inject_probe(device, &mut adv.log, &pkt, now);
+        exfiltrate_probe(device, &mut adv.log, victim, tile, len, now);
     }
     device.put_adversary(adv);
+}
+
+/// Sends one attacker-built probe across a partition boundary and
+/// records the verdict: a delivered probe puts every unit on its
+/// destination tile inside the blast radius.
+fn inject_probe(device: &mut CimDevice, log: &mut AttackLog, pkt: &Packet, now: SimTime) {
+    log.attempts += 1;
+    if device.units_and_noc_mut().1.transmit(pkt, now).is_ok() {
+        log.cross_deliveries += 1;
+        log.touch_all(device.units_on_tile(pkt.dst));
+    } else {
+        log.blocked += 1;
+    }
+}
+
+/// Pulls `len` victim-marker bytes from partition `from` back to the
+/// attacker's tile `to` and records how many leaked.
+fn exfiltrate_probe(
+    device: &mut CimDevice,
+    log: &mut AttackLog,
+    from: NodeId,
+    to: NodeId,
+    len: usize,
+    now: SimTime,
+) {
+    let pkt = Packet::new(device.next_packet_id(), from, to, vec![VICTIM_MARKER; len]);
+    log.attempts += 1;
+    match device.units_and_noc_mut().1.transmit(&pkt, now) {
+        Ok(d) => {
+            log.cross_deliveries += 1;
+            log.leaked_bytes += d.payload.iter().filter(|&&b| b == VICTIM_MARKER).count() as u64;
+        }
+        Err(_) => log.blocked += 1,
+    }
 }
 
 /// Hostile-dataflow probe: the compromised tile assembles a scanner
@@ -551,38 +560,10 @@ pub fn attack_hostile_dataflow(device: &mut CimDevice, seed: u64, now: SimTime) 
         neighbours.push(NodeId::new(tile.x, tile.y + 1));
     }
     for nb in neighbours {
-        // Scan: computed probe payload into the neighbour partition.
-        let id = device.next_packet_id();
-        let pkt = Packet::new(id, tile, nb, probe.clone()).with_class(TrafficClass::BestEffort);
-        adv.log.attempts += 1;
-        let delivered = {
-            let (_, noc) = device.units_and_noc_mut();
-            noc.transmit(&pkt, now).is_ok()
-        };
-        if delivered {
-            adv.log.cross_deliveries += 1;
-            let touched = device.units_on_tile(nb);
-            adv.log.touch_all(touched);
-        } else {
-            adv.log.blocked += 1;
-        }
-        // Exfiltrate: neighbour-partition bytes back to the scanner.
-        let id = device.next_packet_id();
-        let pkt =
-            Packet::new(id, nb, tile, vec![VICTIM_MARKER; 32]).with_class(TrafficClass::BestEffort);
-        adv.log.attempts += 1;
-        let res = {
-            let (_, noc) = device.units_and_noc_mut();
-            noc.transmit(&pkt, now)
-        };
-        match res {
-            Ok(d) => {
-                adv.log.cross_deliveries += 1;
-                adv.log.leaked_bytes +=
-                    d.payload.iter().filter(|&&b| b == VICTIM_MARKER).count() as u64;
-            }
-            Err(_) => adv.log.blocked += 1,
-        }
+        // Scan with the computed payload, then pull neighbour bytes back.
+        let pkt = Packet::new(device.next_packet_id(), tile, nb, probe.clone());
+        inject_probe(device, &mut adv.log, &pkt, now);
+        exfiltrate_probe(device, &mut adv.log, nb, tile, 32, now);
     }
     device.put_adversary(adv);
 }
@@ -634,22 +615,10 @@ pub fn attack_hostile_self_prog(device: &mut CimDevice, seed: u64, now: SimTime)
     if victim == adv.tile {
         victim = NodeId::new(0, 0);
     }
+    // A delivered code packet reprograms whatever the patch decodes to
+    // on the victim tile: the whole tile is inside the blast radius.
     let pkt = crate::self_prog::rogue_patch_packet(device, &patch, adv.tile, victim, 0xBAD_5EED);
-    adv.log.attempts += 1;
-    let delivered = {
-        let (_, noc) = device.units_and_noc_mut();
-        noc.transmit(&pkt, now).is_ok()
-    };
-    if delivered {
-        // A delivered code packet reprograms whatever the patch decodes
-        // to on the victim tile: the whole tile is inside the blast
-        // radius.
-        adv.log.cross_deliveries += 1;
-        let touched = device.units_on_tile(victim);
-        adv.log.touch_all(touched);
-    } else {
-        adv.log.blocked += 1;
-    }
+    inject_probe(device, &mut adv.log, &pkt, now);
     device.put_adversary(adv);
 }
 
