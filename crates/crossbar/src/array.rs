@@ -45,11 +45,6 @@ impl OpCost {
             energy: self.energy + other.energy,
         }
     }
-
-    /// Alias for [`par`](Self::par), kept for existing call sites.
-    pub fn join_parallel(self, other: OpCost) -> OpCost {
-        self.par(other)
-    }
 }
 
 /// A crossbar array of memristor cells.
@@ -1004,7 +999,7 @@ mod tests {
         let seq = a.then(b);
         assert_eq!(seq.latency, SimDuration::from_ns(14));
         assert_eq!(seq.energy, Energy::from_fj(150));
-        let par = a.join_parallel(b);
+        let par = a.par(b);
         assert_eq!(par.latency, SimDuration::from_ns(10));
         assert_eq!(par.energy, Energy::from_fj(150));
     }

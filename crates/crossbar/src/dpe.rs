@@ -373,7 +373,7 @@ impl DotProductEngine {
                         // All arrays program in parallel (independent write
                         // drivers): latency joins, energy adds.
                         let c = xbar.program_levels(&levels)?;
-                        cost = cost.join_parallel(c);
+                        cost = cost.par(c);
                         stack.push(xbar);
                     }
                 }

@@ -381,7 +381,7 @@ impl CimDevice {
             let cost = self
                 .unit_mut(unit_idx)
                 .assign(r.index(), &node.op, &config, seeds)?;
-            config_cost = config_cost.join_parallel(cost);
+            config_cost = config_cost.par(cost);
         }
         self.meter_mut().charge("config", config_cost.energy);
         Ok(config_cost)
