@@ -9,7 +9,7 @@
 
 use crate::device::CimDevice;
 use crate::engine::{MappedProgram, StreamOptions, StreamReport};
-use crate::error::Result;
+use crate::error::{FabricError, Result};
 use crate::mapper::MappingPolicy;
 use cim_dataflow::graph::{DataflowGraph, NodeRef};
 use cim_sim::time::SimDuration;
@@ -40,9 +40,16 @@ pub struct CampaignReport {
 /// Runs `inputs` through a loaded program while injecting the scheduled
 /// faults. No item is lost: faults only add recovery latency.
 ///
+/// The stream is cut into one chunk per fault, and each chunk runs as a
+/// fresh stream. Sim-time injections in `opts.injections` would land
+/// again in every chunk whose clock has passed them, so they are
+/// refused: schedule those through [`crate::fleet::CimFleet`], whose
+/// event cursor applies each one exactly once.
+///
 /// # Errors
 ///
-/// Propagates execution errors (including spare exhaustion).
+/// [`FabricError::InvalidConfig`] when `opts.injections` is non-empty;
+/// propagates execution errors (including spare exhaustion).
 pub fn run_fault_campaign(
     device: &mut CimDevice,
     prog: &mut MappedProgram,
@@ -50,6 +57,13 @@ pub fn run_fault_campaign(
     opts: &StreamOptions,
     faults: &[ScheduledFault],
 ) -> Result<CampaignReport> {
+    if !opts.injections.is_empty() {
+        return Err(FabricError::InvalidConfig {
+            reason: "a fault campaign runs one stream per chunk and would apply \
+                     each stream injection once per chunk"
+                .to_owned(),
+        });
+    }
     let mut sorted = faults.to_vec();
     sorted.sort_by_key(|f| f.before_item);
 
@@ -78,7 +92,7 @@ pub fn run_fault_campaign(
             inter_arrival: opts.inter_arrival,
             start: opts.start + opts.inter_arrival * cursor as u64,
             capabilities: opts.capabilities.clone(),
-            injections: opts.injections.clone(),
+            injections: Vec::new(),
         };
         let report = device.execute_stream(prog, chunk, &chunk_opts)?;
         merged = Some(match merged {
@@ -173,10 +187,13 @@ pub fn run_duplex(
 mod tests {
     use super::*;
     use crate::config::FabricConfig;
+    use crate::engine::{Injection, InjectionKind};
     use cim_crossbar::device::CellFault;
     use cim_crossbar::dpe::DpeConfig;
     use cim_dataflow::graph::GraphBuilder;
     use cim_dataflow::ops::{Elementwise, Operation};
+    use cim_noc::packet::NodeId;
+    use cim_sim::time::SimTime;
 
     fn device() -> CimDevice {
         CimDevice::new(FabricConfig {
@@ -217,6 +234,38 @@ mod tests {
         (0..n)
             .map(|i| HashMap::from([(src, vec![(i % 5) as f64 / 5.0; 8])]))
             .collect()
+    }
+
+    #[test]
+    fn stream_injections_are_refused_before_anything_runs() {
+        // Each chunk is a fresh stream: handed the injections, every
+        // chunk would send this t = 0 congestion burst again.
+        let mut d = device();
+        let (g, s, _) = pipeline_graph();
+        let mut prog = d.load_program(&g, MappingPolicy::LocalityAware).unwrap();
+        let opts = StreamOptions {
+            injections: vec![Injection {
+                at: SimTime::ZERO,
+                kind: InjectionKind::Congestion {
+                    from: NodeId::new(0, 0),
+                    to: NodeId::new(3, 0),
+                    packets: 4,
+                    bytes: 256,
+                },
+            }],
+            ..StreamOptions::default()
+        };
+        let faults = [ScheduledFault {
+            before_item: 3,
+            node: 1,
+        }];
+        let healthy = d.healthy_unit_count();
+        let r = run_fault_campaign(&mut d, &mut prog, &inputs(s, 6), &opts, &faults);
+        assert!(
+            matches!(r, Err(FabricError::InvalidConfig { .. })),
+            "stream injections must be refused: {r:?}"
+        );
+        assert_eq!(d.healthy_unit_count(), healthy, "no fault was applied");
     }
 
     #[test]
