@@ -2,14 +2,16 @@
 # The repo's CI gate. Local runs and hosted CI execute this same script,
 # so "passes ci.sh" and "passes CI" are the same statement.
 #
-#   ./ci.sh quick     fmt → clippy → build → test (CIM_THREADS=1), plus
-#                     the perfbench self-check (the BENCHMARK.json
-#                     benchmark still builds and runs every workload
-#                     briefly), the small-sample analytic_check (two-tier
-#                     agreement, single-device and fleet), the SLO
-#                     alerting smoke (healthy silent, overload pages),
-#                     and the three fleet_smoke scenarios: failover
-#                     (zero loss at 200k requests), powerloss (crash
+#   ./ci.sh quick     fmt → clippy → rustdoc (-D warnings, so a dangling
+#                     intra-doc link fails) → build → test
+#                     (CIM_THREADS=1), plus the perfbench self-check
+#                     (the BENCHMARK.json benchmark still builds and
+#                     runs every workload briefly), the small-sample
+#                     analytic_check (two-tier agreement, single-device
+#                     and fleet), the SLO alerting smoke (healthy
+#                     silent, overload pages), and the three
+#                     fleet_smoke scenarios: failover (zero loss at
+#                     200k requests), powerloss (crash
 #                     recovery at 100k requests) and adversarial
 #                     (armed-fleet attack campaign, zero cross-tenant
 #                     reads at 100k requests). The fast inner-loop
@@ -106,6 +108,11 @@ cargo fmt --all -- --check
 
 step "cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+step "cargo doc (-D warnings)"
+# Docs link across crates; a renamed or deleted item leaves a dangling
+# intra-doc link that only rustdoc sees.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "cargo build --release --offline"
 cargo build --workspace --release --offline

@@ -74,7 +74,7 @@ impl RequestClassSpec {
 
 /// The standard three-tenant mix the serving experiments use.
 ///
-/// Deadlines are calibrated against the default [`cim_fabric`] device
+/// Deadlines are calibrated against the default `cim_fabric` device
 /// model: generous enough that an unloaded device meets every SLO, tight
 /// enough that saturation queueing blows through them (so overload shows
 /// up as timeouts and shed load rather than unbounded latency).
