@@ -463,12 +463,8 @@ pub fn attack_cross_partition(
     }
     let len = bytes.max(1) as usize;
     for _ in 0..packets.max(1) {
-        let pkt = Packet::new(
-            device.next_packet_id(),
-            tile,
-            victim,
-            vec![ATTACK_MARKER; len],
-        );
+        let id = device.next_packet_id();
+        let pkt = Packet::new(id, tile, victim, vec![ATTACK_MARKER; len]);
         inject_probe(device, &mut adv.log, &pkt, now);
         exfiltrate_probe(device, &mut adv.log, victim, tile, len, now);
     }
