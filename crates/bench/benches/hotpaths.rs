@@ -19,6 +19,7 @@ use cim_dataflow::interpreter::execute;
 use cim_fabric::{CimDevice, FabricConfig, MappingPolicy, StreamOptions};
 use cim_noc::network::NocNetwork;
 use cim_noc::packet::{NodeId, Packet};
+use cim_sim::analytic::SimMode;
 use cim_sim::time::SimTime;
 use cim_sim::SeedTree;
 use cim_workloads::nn::mlp_graph;
@@ -49,6 +50,23 @@ fn bench_crossbar() {
     g.bench("dpe_matvec_128", || {
         black_box(dpe.matvec(black_box(&x)).unwrap())
     });
+
+    // The serving mix's largest layer on the calibrated engine, on both
+    // tiers, with a mixed-sign input.
+    let w = DenseMatrix::from_fn(64, 32, |r, cc| (((r * 3 + cc) % 23) as f64 / 23.0) - 0.5);
+    let x: Vec<f64> = (0..64)
+        .map(|i| ((i * 7 % 19) as f64 / 19.0) - 0.45)
+        .collect();
+    g.throughput(64 * 32);
+    for (name, mode) in [
+        ("dpe_matvec_64x32_noisy", SimMode::Detailed),
+        ("dpe_matvec_64x32_analytic", SimMode::Analytic),
+    ] {
+        let mut dpe = DotProductEngine::new(DpeConfig::default(), seeds);
+        dpe.set_mode(mode);
+        dpe.program(&w).unwrap();
+        g.bench(name, || black_box(dpe.matvec(black_box(&x)).unwrap()));
+    }
     g.finish();
 }
 
