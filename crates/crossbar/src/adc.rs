@@ -7,6 +7,7 @@
 //! ablation sweeps this knob. ADC energy grows roughly 4× per extra bit
 //! (Murmann's ADC survey), which the energy model reflects.
 
+use crate::quant::round_half_away;
 use cim_sim::calib::dpe;
 use cim_sim::energy::Energy;
 use cim_sim::time::SimDuration;
@@ -74,7 +75,9 @@ impl Adc {
     /// Digitizes an analog value, clamping to the input range.
     pub fn convert(&self, analog: f64) -> u32 {
         let clamped = analog.clamp(0.0, self.full_scale);
-        (clamped / self.lsb).round() as u32
+        // The quotient lies in [0, codes − 1] up to one rounding, so the
+        // rounded code fits a u32.
+        round_half_away(clamped / self.lsb) as u32
     }
 
     /// Maps a code back to its analog reconstruction value.

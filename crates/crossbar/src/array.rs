@@ -47,6 +47,27 @@ impl OpCost {
     }
 }
 
+/// Energy in fJ of one read phase of
+/// [`CrossbarArray::read_phase_cost`], on an array of `rows` rows with
+/// `active` of them driven.
+pub(crate) fn read_phase_fj(rows: usize, active: u64) -> u64 {
+    dpe::READ_PHASE_FJ * active / rows.max(1) as u64 + dpe::DAC_DRIVE_FJ * active
+}
+
+/// Lists a read phase's driven rows: row `r` is driven at DAC level
+/// `levels[r]`, and 0 leaves it idle. Writes `(r, level)` for each driven
+/// row, rows ascending, to the front of `driven`, which must be at least as
+/// long as `levels`, and returns how many. The list is compacted without a
+/// branch on the levels.
+pub(crate) fn driven_rows(levels: impl Iterator<Item = u32>, driven: &mut [(usize, f64)]) -> usize {
+    let mut n = 0;
+    for (r, level) in levels.enumerate() {
+        driven[n] = (r, f64::from(level));
+        n += usize::from(level != 0);
+    }
+    n
+}
+
 /// A crossbar array of memristor cells.
 ///
 /// # Examples
@@ -365,18 +386,6 @@ impl CrossbarArray {
     /// or [`CrossbarError::DimensionMismatch`] if `levels` has the wrong
     /// length.
     pub fn read_phase_levels(&mut self, levels: &[u16]) -> Result<Vec<f64>> {
-        let mut sums = Vec::new();
-        self.read_phase_levels_into(levels, &mut sums)?;
-        Ok(sums)
-    }
-
-    /// [`read_phase_levels`](Self::read_phase_levels) into a caller-owned
-    /// buffer, which is overwritten with `cols` column sums.
-    pub(crate) fn read_phase_levels_into(
-        &mut self,
-        levels: &[u16],
-        sums: &mut Vec<f64>,
-    ) -> Result<()> {
         if !self.programmed {
             return Err(CrossbarError::NotProgrammed);
         }
@@ -387,24 +396,40 @@ impl CrossbarArray {
                 what: "drive level vector length",
             });
         }
+        let mut driven = vec![(0, 0.0); levels.len()];
+        let n = driven_rows(levels.iter().map(|&l| u32::from(l)), &mut driven);
+        let mut sums = Vec::new();
+        self.read_driven(&driven[..n], &mut sums);
+        Ok(sums)
+    }
+
+    /// One read phase of a programmed array that visits only the driven
+    /// rows: `driven` holds each one's `(row, DAC level)`, rows ascending,
+    /// and every other row is idle. `sums` is overwritten with the `cols`
+    /// column sums. Cells are read in row-then-column order, as
+    /// [`read_phase_levels`](Self::read_phase_levels) promises.
+    pub(crate) fn read_driven(&mut self, driven: &[(usize, f64)], sums: &mut Vec<f64>) {
+        debug_assert!(self.programmed);
+        debug_assert!(
+            driven.windows(2).all(|w| w[0].0 < w[1].0)
+                && driven.last().is_none_or(|&(r, _)| r < self.rows)
+        );
         sums.clear();
         sums.resize(self.cols, 0.0);
         let (rows, cols) = (self.rows, self.cols);
         let table = self
             .table
             .get_or_insert_with(|| ReadTable::build(&self.cells, rows, cols, &self.params));
-        for (r, &level) in levels.iter().enumerate() {
-            if level == 0 {
-                continue;
-            }
-            let drive = f64::from(level);
-            match table {
-                ReadTable::Dense(g) => {
+        match table {
+            ReadTable::Dense(g) => {
+                for &(r, drive) in driven {
                     for (sum, &g) in sums.iter_mut().zip(&g[r * cols..(r + 1) * cols]) {
                         *sum += drive * g;
                     }
                 }
-                ReadTable::Live(live) => {
+            }
+            ReadTable::Live(live) => {
+                for &(r, drive) in driven {
                     let span = live.row_start[r] as usize..live.row_start[r + 1] as usize;
                     for (&c, &g) in live.col[span.clone()].iter().zip(&live.g[span]) {
                         sums[c as usize] += drive * read_with_noise(g, &self.params, &mut self.rng);
@@ -412,7 +437,6 @@ impl CrossbarArray {
                 }
             }
         }
-        Ok(())
     }
 
     /// Cost of one read phase: analog settle plus DAC drive on the active
@@ -420,10 +444,7 @@ impl CrossbarArray {
     pub fn read_phase_cost(&self, active_row_count: usize) -> OpCost {
         OpCost {
             latency: SimDuration::from_ps(dpe::READ_PHASE_PS),
-            energy: Energy::from_fj(
-                dpe::READ_PHASE_FJ * active_row_count as u64 / self.rows.max(1) as u64
-                    + dpe::DAC_DRIVE_FJ * active_row_count as u64,
-            ),
+            energy: Energy::from_fj(read_phase_fj(self.rows, active_row_count as u64)),
         }
     }
 
