@@ -275,12 +275,13 @@ impl TimeSeriesRecorder {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for (i, (component, label)) in self.tracks.iter().enumerate() {
+            // Escaped once per track, not once per point.
+            let component = json_string(component);
+            let metric = json_string(&format!("series/{label}"));
             for p in &self.points[i] {
                 let _ = writeln!(
                     out,
-                    "{{\"component\":{},\"metric\":{},\"kind\":\"series\",\"value\":{},\"t_ps\":{}}}",
-                    json_string(component),
-                    json_string(&format!("series/{label}")),
+                    "{{\"component\":{component},\"metric\":{metric},\"kind\":\"series\",\"value\":{},\"t_ps\":{}}}",
                     json_f64(p.value),
                     p.at.as_ps(),
                 );
@@ -316,14 +317,13 @@ pub fn synthesize_queue_series(
     ];
     let mut out = String::new();
     for (label, value) in series {
+        let metric = json_string(&format!("series/{label}"));
+        let value = json_f64(value);
         let mut t = 0u64;
         loop {
             let _ = writeln!(
                 out,
-                "{{\"component\":\"obs/analytic\",\"metric\":{},\"kind\":\"series\",\"value\":{},\"t_ps\":{}}}",
-                json_string(&format!("series/{label}")),
-                json_f64(value),
-                t,
+                "{{\"component\":\"obs/analytic\",\"metric\":{metric},\"kind\":\"series\",\"value\":{value},\"t_ps\":{t}}}",
             );
             if t >= span_ps {
                 break;
