@@ -9,7 +9,7 @@
 //! or wall clock.
 
 use cim_sim::analytic::QueueModel;
-use cim_sim::telemetry::{json_f64, json_string, ComponentId, MetricsRegistry};
+use cim_sim::telemetry::{json_string, write_json_f64, ComponentId, MetricsRegistry};
 use cim_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -226,17 +226,23 @@ impl TimeSeriesRecorder {
     /// exact multiples of the cadence, so the grid is identical no matter
     /// how arrivals bunch between calls.
     pub fn sample_to(&mut self, now: SimTime, mut read: impl FnMut(usize) -> f64) {
-        loop {
-            let Some(tick_ps) = self.next_tick.checked_mul(self.cadence.as_ps()) else {
-                return;
-            };
-            let at = SimTime::from_ps(tick_ps);
-            if at > now {
-                return;
-            }
+        while let Some(at) = self.next_at().filter(|&at| at <= now) {
             self.next_tick += 1;
             self.push_sample(at, &mut read);
         }
+    }
+
+    /// Whether [`TimeSeriesRecorder::sample_to`] at `now` would fire a
+    /// tick.
+    pub fn due(&self, now: SimTime) -> bool {
+        self.next_at().is_some_and(|at| at <= now)
+    }
+
+    /// The time of the next cadence tick; `None` once past the clock.
+    fn next_at(&self) -> Option<SimTime> {
+        self.next_tick
+            .checked_mul(self.cadence.as_ps())
+            .map(SimTime::from_ps)
     }
 
     /// Takes one forced sample at exactly `now`, regardless of the tick
@@ -274,21 +280,34 @@ impl TimeSeriesRecorder {
     /// points in time order, one `kind:"series"` object per point.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
-        for (i, (component, label)) in self.tracks.iter().enumerate() {
-            // Escaped once per track, not once per point.
-            let component = json_string(component);
-            let metric = json_string(&format!("series/{label}"));
-            for p in &self.points[i] {
-                let _ = writeln!(
-                    out,
-                    "{{\"component\":{component},\"metric\":{metric},\"kind\":\"series\",\"value\":{},\"t_ps\":{}}}",
-                    json_f64(p.value),
-                    p.at.as_ps(),
-                );
+        for ((component, label), points) in self.tracks.iter().zip(&self.points) {
+            let head = series_head(component, label);
+            for p in points {
+                push_point(&mut out, &head, p.value, p.at.as_ps());
             }
         }
         out
     }
+}
+
+/// The constant start of every `kind:"series"` line of one track, up to
+/// and including `"value":`. Rendered once per track.
+fn series_head(component: &str, label: &str) -> String {
+    format!(
+        "{{\"component\":{},\"metric\":{},\"kind\":\"series\",\"value\":",
+        json_string(component),
+        json_string(&format!("series/{label}")),
+    )
+}
+
+/// Appends one series line: the track's `head`, the value, then the
+/// sim-time stamp.
+fn push_point(out: &mut String, head: &str, value: f64, t_ps: u64) {
+    out.push_str(head);
+    write_json_f64(out, value);
+    out.push_str(",\"t_ps\":");
+    let _ = write!(out, "{t_ps}");
+    out.push_str("}\n");
 }
 
 /// Synthesizes the coarse series contract for the analytic fast tier.
@@ -317,14 +336,10 @@ pub fn synthesize_queue_series(
     ];
     let mut out = String::new();
     for (label, value) in series {
-        let metric = json_string(&format!("series/{label}"));
-        let value = json_f64(value);
+        let head = series_head("obs/analytic", label);
         let mut t = 0u64;
         loop {
-            let _ = writeln!(
-                out,
-                "{{\"component\":\"obs/analytic\",\"metric\":{metric},\"kind\":\"series\",\"value\":{value},\"t_ps\":{t}}}",
-            );
+            push_point(&mut out, &head, value, t);
             if t >= span_ps {
                 break;
             }
