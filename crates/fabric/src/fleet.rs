@@ -63,8 +63,8 @@ use cim_dataflow::graph::{DataflowGraph, NodeRef};
 use cim_dataflow::ops::Operation;
 use cim_sim::energy::Energy;
 use cim_sim::rng::{exponential, splitmix64, Fnv1a, Rng};
-use cim_sim::stats::Samples;
-use cim_sim::telemetry::{ComponentId, Telemetry, TelemetryLevel};
+use cim_sim::stats::{Log2Histogram, Samples};
+use cim_sim::telemetry::{ComponentId, MetricsRegistry, Telemetry, TelemetryLevel};
 use cim_sim::time::{SimDuration, SimTime};
 use cim_sim::SeedTree;
 
@@ -485,49 +485,182 @@ impl Schedule {
     }
 }
 
+/// A counter the serving loop writes; each has one slot per component.
+#[derive(Clone, Copy)]
+enum Counter {
+    Offered,
+    Admitted,
+    Shed,
+    Retries,
+    Recoveries,
+    Completed,
+    TimedOut,
+    Failed,
+    Failovers,
+    Crashes,
+    DirtyRestores,
+    Dispatched,
+    Served,
+}
+
+impl Counter {
+    /// Registry names, in declaration order.
+    const NAMES: [&'static str; 13] = [
+        "offered",
+        "admitted",
+        "shed",
+        "retries",
+        "recoveries",
+        "completed",
+        "timed_out",
+        "failed",
+        "failovers",
+        "crashes",
+        "dirty_restores",
+        "dispatched",
+        "served",
+    ];
+}
+
+/// A gauge the serving loop writes; each has one slot per component.
+#[derive(Clone, Copy)]
+enum Gauge {
+    QueueDepth,
+    InFlight,
+    P99Us,
+    Goodput,
+}
+
+impl Gauge {
+    /// Registry names, in declaration order.
+    const NAMES: [&'static str; 4] = ["queue_depth", "in_flight", "p99_us", "goodput"];
+}
+
+/// One component's writes since the last flush: a counter's pending sum
+/// and a gauge's last value, `None` where nothing was written (an add of
+/// zero still creates its counter, as a registry write would).
+#[derive(Clone, Default)]
+struct Slots {
+    counters: [Option<u64>; Counter::NAMES.len()],
+    gauges: [Option<f64>; Gauge::NAMES.len()],
+}
+
 /// Where one run's serving metrics land: `service/*` on a lone device's
 /// own telemetry (nothing while that is off), or `fleet/*` plus
 /// per-device `fleet/dev{i}/*` on the fleet's private registry.
+///
+/// The loop writes into run-local slots, resolved once per run: an event
+/// is a plain add or store, with no lock or map lookup. [`Sink::flush`]
+/// moves them into the registry under one lock; the loop calls it before
+/// every time-series tick, so each sample reads what per-event writes
+/// would have left there, and dropping the sink flushes what is left, so
+/// a run that ends early on an error still lands its counts.
 struct Sink {
     tel: Telemetry,
-    /// `service` or `fleet`; `None` while a lone device records nothing.
-    run: Option<ComponentId>,
-    /// `fleet/dev{i}` per device; empty for a lone device.
-    dev: Vec<ComponentId>,
+    /// `service` or `fleet`, then `fleet/dev{i}` per device of a fleet;
+    /// empty while a lone device records nothing.
+    ids: Vec<ComponentId>,
+    /// Pending writes, one per entry of `ids`.
+    slots: Vec<Slots>,
+    /// Pending `latency_ns` records of the run component.
+    latency: Log2Histogram,
 }
 
 impl Sink {
-    fn add(&self, metric: &'static str, n: u64) {
-        if let Some(c) = self.run {
-            self.tel.counter_add(c, metric, n);
+    fn new(tel: Telemetry, ids: Vec<ComponentId>) -> Sink {
+        Sink {
+            tel,
+            slots: vec![Slots::default(); ids.len()],
+            ids,
+            latency: Log2Histogram::new(),
         }
     }
 
-    fn gauge(&self, metric: &'static str, v: f64) {
-        if let Some(c) = self.run {
-            self.tel.gauge_set(c, metric, v);
-        }
-    }
-
-    fn record(&self, metric: &'static str, v: u64) {
-        if let Some(c) = self.run {
-            self.tel.record(c, metric, v);
-        }
+    fn add(&mut self, metric: Counter, n: u64) {
+        self.add_at(0, metric as usize, n);
     }
 
     /// A per-device counter; fleets only.
-    fn add_dev(&self, device: usize, metric: &'static str) {
-        if let Some(&c) = self.dev.get(device) {
-            self.tel.counter_add(c, metric, 1);
-        }
+    fn add_dev(&mut self, device: usize, metric: Counter) {
+        self.add_at(device + 1, metric as usize, 1);
     }
 
     /// A crash counter: per device in a fleet, on the run component of
     /// a lone device.
-    fn add_crash(&self, device: usize, metric: &'static str) {
-        if let Some(c) = self.dev.get(device).copied().or(self.run) {
-            self.tel.counter_add(c, metric, 1);
+    fn add_crash(&mut self, device: usize, metric: Counter) {
+        let slot = if self.ids.len() > 1 { device + 1 } else { 0 };
+        self.add_at(slot, metric as usize, 1);
+    }
+
+    /// Adds `n` to counter `k` (a [`Counter`] index) of component `slot`.
+    fn add_at(&mut self, slot: usize, k: usize, n: u64) {
+        if let Some(s) = self.slots.get_mut(slot) {
+            let c = &mut s.counters[k];
+            *c = Some(c.unwrap_or(0) + n);
         }
+    }
+
+    fn gauge(&mut self, metric: Gauge, v: f64) {
+        self.gauge_at(0, metric as usize, v);
+    }
+
+    /// A per-device gauge; fleets only.
+    fn gauge_dev(&mut self, device: usize, metric: Gauge, v: f64) {
+        self.gauge_at(device + 1, metric as usize, v);
+    }
+
+    /// Sets gauge `k` (a [`Gauge`] index) of component `slot`.
+    fn gauge_at(&mut self, slot: usize, k: usize, v: f64) {
+        if let Some(s) = self.slots.get_mut(slot) {
+            s.gauges[k] = Some(v);
+        }
+    }
+
+    /// Records one request latency into the run's `latency_ns`.
+    fn record_latency(&mut self, ns: u64) {
+        if !self.ids.is_empty() {
+            self.latency.record(ns);
+        }
+    }
+
+    /// Writes every pending slot into the registry under one lock, then
+    /// hands `then` the registry under the same lock. No-op (and `then`
+    /// is not called) while the telemetry is off.
+    fn flush(&mut self, then: impl FnOnce(&MetricsRegistry)) {
+        let Sink {
+            tel,
+            ids,
+            slots,
+            latency,
+        } = self;
+        tel.with_registry_mut(|reg| {
+            for (&c, s) in ids.iter().zip(slots.iter_mut()) {
+                for (name, n) in Counter::NAMES.into_iter().zip(&mut s.counters) {
+                    if let Some(n) = n.take() {
+                        reg.counter_add(c, name, n);
+                    }
+                }
+                for (name, v) in Gauge::NAMES.into_iter().zip(&mut s.gauges) {
+                    if let Some(v) = v.take() {
+                        reg.gauge_set(c, name, v);
+                    }
+                }
+            }
+            if let Some(&run) = ids.first().filter(|_| latency.count() > 0) {
+                reg.merge_histogram(run, "latency_ns", latency);
+                *latency = Log2Histogram::new();
+            }
+            then(reg);
+        });
+    }
+}
+
+impl Drop for Sink {
+    /// Lands whatever the run wrote since the last flush, on every exit
+    /// path. Nothing here can panic: the lock shrugs off poisoning, and
+    /// `flush` indexes nothing it has not checked.
+    fn drop(&mut self) {
+        self.flush(|_| ());
     }
 }
 
@@ -881,7 +1014,7 @@ impl CimFleet {
     /// schedule order. The crash of a due power loss is in the past (its
     /// outage already fenced routing and voided straddled work); its
     /// recovery pass runs now, before the next attempt touches state.
-    fn apply_due(&mut self, d: usize, when: SimTime, sched: &mut Schedule, sink: &Sink) {
+    fn apply_due(&mut self, d: usize, when: SimTime, sched: &mut Schedule, sink: &mut Sink) {
         let feed = &mut sched.feeds[d];
         loop {
             let power_loss = feed
@@ -895,10 +1028,10 @@ impl CimFleet {
                 let dev = &mut self.devices[d];
                 let pristine = dev.rt.power_cycle(self.cfg.service.restore_clears_volatile);
                 dev.crashes += 1;
-                sink.add_crash(d, "crashes");
+                sink.add_crash(d, Counter::Crashes);
                 if !pristine {
                     dev.dirty_restores += 1;
-                    sink.add_crash(d, "dirty_restores");
+                    sink.add_crash(d, Counter::DirtyRestores);
                 }
                 feed.next_power_loss += 1;
             } else if let Some(inj) = feed.injections.get(feed.next_injection) {
@@ -923,11 +1056,11 @@ impl CimFleet {
         when: SimTime,
         input: &[f64],
         sched: &mut Schedule,
-        sink: &Sink,
+        sink: &mut Sink,
     ) -> Result<Attempt> {
         let (d, job) = self.classes[class].replicas[r];
         let (src, class_sink) = (self.classes[class].src, self.classes[class].sink);
-        sink.add_dev(d, "dispatched");
+        sink.add_dev(d, Counter::Dispatched);
         self.apply_due(d, when, sched, sink);
         self.devices[d].dispatched += 1;
         // The still-future injection tail rides into the engine so that
@@ -975,7 +1108,7 @@ impl CimFleet {
         arrival: SimTime,
         input: &[f64],
         sched: &mut Schedule,
-        sink: &Sink,
+        sink: &mut Sink,
         failovers: &mut usize,
     ) -> Result<(Exit, usize)> {
         let deadline = arrival + self.classes[class].deadline;
@@ -1073,19 +1206,15 @@ impl CimFleet {
             None => {
                 let tel = self.devices[0].rt.device().telemetry().clone();
                 let run = tel.is_enabled().then(|| tel.component("service"));
-                Sink {
-                    tel,
-                    run,
-                    dev: Vec::new(),
-                }
+                Sink::new(tel, run.into_iter().collect())
             }
-            Some(tel) => Sink {
-                tel: tel.clone(),
-                run: Some(tel.component("fleet")),
-                dev: (0..self.devices.len())
-                    .map(|i| tel.component(&format!("fleet/dev{i}")))
-                    .collect(),
-            },
+            Some(tel) => {
+                let devs = (0..self.devices.len()).map(|i| tel.component(&format!("fleet/dev{i}")));
+                let ids = std::iter::once(tel.component("fleet"))
+                    .chain(devs)
+                    .collect();
+                Sink::new(tel.clone(), ids)
+            }
         }
     }
 
@@ -1149,7 +1278,7 @@ impl CimFleet {
         let mut class_rng = self.seeds.rng("classes");
         let mut input_rng = self.seeds.rng("inputs");
 
-        let sink = self.sink();
+        let mut sink = self.sink();
         let mut obs = self.obs.as_ref().map(|cfg| {
             let mut cfg = cfg.clone();
             if cfg.tracks.is_empty() && !self.lone() {
@@ -1192,7 +1321,7 @@ impl CimFleet {
             // Counters are bumped as each disposition lands (not batched
             // after the run) so the time-series recorder sees live
             // values.
-            sink.add("offered", 1);
+            sink.add(Counter::Offered, 1);
 
             // Admission: route to a replica and check its queue. "No
             // replica to route to" and "the routed queue is full" both
@@ -1207,14 +1336,21 @@ impl CimFleet {
             let disposition = match routed {
                 None => {
                     shed += 1;
-                    sink.add("shed", 1);
+                    sink.add(Counter::Shed, 1);
                     Disposition::Shed
                 }
                 Some(r) => {
                     admitted += 1;
-                    sink.add("admitted", 1);
-                    let (exit, r) =
-                        self.dispatch(class, r, now, &input, &mut sched, &sink, &mut failovers)?;
+                    sink.add(Counter::Admitted, 1);
+                    let (exit, r) = self.dispatch(
+                        class,
+                        r,
+                        now,
+                        &input,
+                        &mut sched,
+                        &mut sink,
+                        &mut failovers,
+                    )?;
                     let d = self.classes[class].replicas[r].0;
                     match exit {
                         Exit::Finished {
@@ -1225,17 +1361,17 @@ impl CimFleet {
                         } => {
                             retries += (attempts - 1) as usize;
                             recoveries += usize::from(recovered);
-                            sink.add("retries", u64::from(attempts - 1));
-                            sink.add("recoveries", u64::from(recovered));
+                            sink.add(Counter::Retries, u64::from(attempts - 1));
+                            sink.add(Counter::Recoveries, u64::from(recovered));
                             self.devices[d].in_flight.push(finished);
                             self.devices[d].served += 1;
-                            sink.add_dev(d, "served");
+                            sink.add_dev(d, Counter::Served);
                             let lat = finished.saturating_since(now);
-                            sink.record("latency_ns", lat.as_ps() / 1000);
+                            sink.record_latency(lat.as_ps() / 1000);
                             latencies.record(lat.as_us_f64());
                             if lat <= self.classes[class].deadline && !output.is_empty() {
                                 completed += 1;
-                                sink.add("completed", 1);
+                                sink.add(Counter::Completed, 1);
                                 Disposition::Completed {
                                     finished,
                                     attempts,
@@ -1244,15 +1380,15 @@ impl CimFleet {
                                 }
                             } else {
                                 timed_out += 1;
-                                sink.add("timed_out", 1);
+                                sink.add(Counter::TimedOut, 1);
                                 Disposition::TimedOut { finished, attempts }
                             }
                         }
                         Exit::Exhausted { attempts } => {
                             retries += (attempts - 1) as usize;
                             failed += 1;
-                            sink.add("retries", u64::from(attempts - 1));
-                            sink.add("failed", 1);
+                            sink.add(Counter::Retries, u64::from(attempts - 1));
+                            sink.add(Counter::Failed, 1);
                             // Leaves at its arrival: it holds no queue
                             // slot past this instant.
                             self.devices[d].in_flight.push(now);
@@ -1262,10 +1398,9 @@ impl CimFleet {
                 }
             };
             let depth: usize = self.devices.iter().map(|d| d.in_flight.len()).sum();
-            sink.gauge("queue_depth", depth as f64);
-            for (dev, &c) in self.devices.iter().zip(&sink.dev) {
-                sink.tel
-                    .gauge_set(c, "in_flight", dev.in_flight.len() as f64);
+            sink.gauge(Gauge::QueueDepth, depth as f64);
+            for (d, dev) in self.devices.iter().enumerate() {
+                sink.gauge_dev(d, Gauge::InFlight, dev.in_flight.len() as f64);
             }
             if let Some(o) = obs.as_mut() {
                 let (at, observed) = match &disposition {
@@ -1284,7 +1419,10 @@ impl CimFleet {
                 o.observe_request(class, at, observed);
                 // Sampling rides the monotone arrival clock; finish times
                 // may run slightly ahead but the tick grid stays regular.
-                sink.tel.with_registry(|r| o.sample_to(now, r));
+                // The slots land in the registry just before each tick.
+                if o.tick_due(now) {
+                    sink.flush(|r| o.sample_to(now, r));
+                }
             }
             // Fingerprint every outcome, storage or not.
             fnv.write_u64(id);
@@ -1337,10 +1475,10 @@ impl CimFleet {
             None => LatencyStats::default(),
         };
         if !self.lone() {
-            sink.add("failovers", failovers as u64);
+            sink.add(Counter::Failovers, failovers as u64);
         }
-        sink.gauge("p99_us", latency.p99_us);
-        sink.gauge("goodput", completed as f64 / n.max(1) as f64);
+        sink.gauge(Gauge::P99Us, latency.p99_us);
+        sink.gauge(Gauge::Goodput, completed as f64 / n.max(1) as f64);
 
         let per_device: Vec<DeviceLoad> = self
             .devices
@@ -1358,7 +1496,7 @@ impl CimFleet {
 
         let (alerts, series_jsonl) = match obs {
             Some(mut o) => {
-                sink.tel.with_registry(|r| o.finalize(now, r));
+                sink.flush(|r| o.finalize(now, r));
                 // The analytic tier records no event-by-event registry
                 // evolution; hand the operating point to `finish` so the
                 // report still carries series-shaped signals.
@@ -1897,5 +2035,89 @@ mod tests {
                 Err(FabricError::InvalidConfig { .. })
             ));
         }
+    }
+
+    #[test]
+    fn slot_writes_reach_the_registry_as_per_event_writes_would() {
+        use cim_sim::prop::{check, PropConfig};
+        use cim_sim::prop_assert_eq;
+        check(
+            "slot flushes equal per-event registry writes",
+            &PropConfig::cases(200),
+            |rng| {
+                // (op, component, metric, value): op 0 adds to a counter
+                // (zero often), 1 sets a gauge, 2 records a latency and 3
+                // flushes.
+                let ops: Vec<(u8, u8, u8, u64)> = (0..rng.gen_range(0usize..80))
+                    .map(|_| {
+                        let op = if rng.gen_bool(0.1) {
+                            3
+                        } else {
+                            rng.gen_range(0u8..3)
+                        };
+                        let value = if op == 0 {
+                            rng.gen_range(0u64..3)
+                        } else {
+                            rng.gen::<u64>() >> rng.gen_range(0u32..64)
+                        };
+                        (op, rng.gen_range(0u8..3), rng.gen::<u8>(), value)
+                    })
+                    .collect();
+                // Whether the run ends on a drop, as an error exit does,
+                // instead of an explicit flush.
+                (ops, rng.gen_bool(0.5))
+            },
+            |(ops, dropped)| {
+                let paths = ["fleet", "fleet/dev0", "fleet/dev1"];
+                let tel = Telemetry::new(TelemetryLevel::Metrics);
+                let per_event = Telemetry::new(TelemetryLevel::Metrics);
+                let ids: Vec<ComponentId> = paths.iter().map(|p| tel.component(p)).collect();
+                for p in paths {
+                    per_event.component(p);
+                }
+                let mut sink = Sink::new(tel.clone(), ids.clone());
+                let same = |flushed: Option<Vec<_>>| -> std::result::Result<(), String> {
+                    if let Some(flushed) = flushed {
+                        prop_assert_eq!(flushed, per_event.snapshot());
+                    }
+                    prop_assert_eq!(tel.snapshot(), per_event.snapshot());
+                    prop_assert_eq!(tel.export_jsonl(), per_event.export_jsonl());
+                    Ok(())
+                };
+                for &(op, comp, metric, value) in ops {
+                    let (slot, c) = (usize::from(comp), ids[usize::from(comp)]);
+                    match op {
+                        0 => {
+                            let k = usize::from(metric) % Counter::NAMES.len();
+                            sink.add_at(slot, k, value);
+                            per_event.counter_add(c, Counter::NAMES[k], value);
+                        }
+                        1 => {
+                            let k = usize::from(metric) % Gauge::NAMES.len();
+                            let v = value as f64 / 8.0;
+                            sink.gauge_at(slot, k, v);
+                            per_event.gauge_set(c, Gauge::NAMES[k], v);
+                        }
+                        2 => {
+                            sink.record_latency(value);
+                            per_event.record(ids[0], "latency_ns", value);
+                        }
+                        _ => {
+                            // The registry `flush` hands on is already
+                            // up to date, as a tick's sample needs.
+                            let mut flushed = None;
+                            sink.flush(|r| flushed = Some(r.snapshot()));
+                            same(flushed)?;
+                        }
+                    }
+                }
+                if *dropped {
+                    drop(sink);
+                } else {
+                    sink.flush(|_| ());
+                }
+                same(None)
+            },
+        );
     }
 }

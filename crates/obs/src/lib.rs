@@ -148,6 +148,13 @@ impl Observability {
         self.engine.observe(tenant, at, good, lost);
     }
 
+    /// Whether [`Observability::sample_to`] at `now` would take a sample:
+    /// a writer that batches its metrics flushes them into the registry
+    /// only then.
+    pub fn tick_due(&self, now: SimTime) -> bool {
+        self.recorder.due(now)
+    }
+
     /// Samples every cadence tick up to (and including) `now` from the
     /// live registry. Call with the monotone arrival clock; re-calls with
     /// the same `now` are no-ops, so this is safe once per request.
