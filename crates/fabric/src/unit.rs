@@ -223,12 +223,15 @@ impl MicroUnit {
         let start = ready.max(self.busy_until);
         let (values, cost) = match op {
             Operation::MatVec { .. } => {
-                let dpe = self.dpe.as_mut().ok_or(FabricError::InvalidConfig {
-                    reason: format!(
-                        "unit {} executes matvec without a programmed engine",
-                        self.index
-                    ),
-                })?;
+                let dpe = self
+                    .dpe
+                    .as_mut()
+                    .ok_or_else(|| FabricError::InvalidConfig {
+                        reason: format!(
+                            "unit {} executes matvec without a programmed engine",
+                            self.index
+                        ),
+                    })?;
                 let out = dpe.matvec(inputs[0])?;
                 (out.values, out.cost)
             }
@@ -395,6 +398,30 @@ mod tests {
         assert_eq!(res.unwrap_err(), FabricError::NoSpareAvailable { unit: 5 });
         u.set_health(UnitHealth::Disabled);
         assert!(u.assign(0, &op, &cfg(), seeds()).is_err());
+    }
+
+    #[test]
+    fn matvec_on_a_unit_without_an_engine_names_the_unit() {
+        let mut u = MicroUnit::new(6, NodeId::new(0, 1));
+        let map = Operation::Map {
+            func: Elementwise::Identity,
+            width: 4,
+        };
+        u.assign(0, &map, &cfg(), seeds()).unwrap();
+        let matvec = Operation::MatVec {
+            rows: 4,
+            cols: 2,
+            weights: vec![0.5; 8],
+        };
+        let err = u
+            .execute(&matvec, &[&[1.0; 4]], SimTime::ZERO, &cfg())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::InvalidConfig {
+                reason: "unit 6 executes matvec without a programmed engine".into(),
+            }
+        );
     }
 
     #[test]
