@@ -349,13 +349,18 @@ if [ "$MODE" = baseline ]; then
 fi
 
 step "bench regression: fresh medians vs committed baselines"
-cargo run --release --offline -p cim-bench --bin bench_compare -- \
-    --baseline BENCH_parallel.json --fresh "$ART/BENCH_parallel.json"
-cargo run --release --offline -p cim-bench --bin bench_compare -- \
-    --baseline BENCH_serving.json --fresh "$ART/BENCH_serving.json"
-cargo run --release --offline -p cim-bench --bin bench_compare -- \
-    --baseline BENCH_analytic.json --fresh "$ART/BENCH_analytic.json"
-cargo run --release --offline -p cim-bench --bin bench_compare -- \
-    --baseline BENCH_fleet.json --fresh "$ART/BENCH_fleet.json"
+# Every file is compared and its verdict printed before the step fails,
+# so one red file does not hide the verdicts of the files after it.
+BENCH_FAILED=()
+for f in BENCH_parallel.json BENCH_serving.json BENCH_analytic.json BENCH_fleet.json; do
+    if ! cargo run --release --offline -p cim-bench --bin bench_compare -- \
+        --baseline "$f" --fresh "$ART/$f"; then
+        BENCH_FAILED+=("$f")
+    fi
+done
+if [ "${#BENCH_FAILED[@]}" -gt 0 ]; then
+    printf 'FAIL: bench regression in %s\n' "${BENCH_FAILED[*]}" >&2
+    exit 1
+fi
 
 printf '\n== ci.sh: all gates passed\n'
