@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator's hot paths: the analog crossbar
 //! read, the DPE matvec, NoC transmission, cache replay, the dataflow
-//! interpreter, TCAM search and stateful logic.
+//! interpreter, the observability pipeline, TCAM search and stateful
+//! logic.
 //!
 //! Runs on the in-tree harness ([`cim_bench::harness`]); one JSON line per
 //! benchmark on stdout: `cargo bench --bench hotpaths > BENCH_hotpaths.json`.
@@ -175,6 +176,61 @@ fn bench_telemetry() {
     g.finish();
 }
 
+/// The observability pipeline at one `fleet_observed` stream's scale:
+/// the SLO engine over 20 000 near-ordered finishes of the standard
+/// three-tenant mix, and the series export of 22 fleet tracks × 1 250
+/// ticks.
+fn bench_obs() {
+    use cim_obs::slo::{BurnRateRule, SloEngine, SloSpec};
+    use cim_obs::{TimeSeriesRecorder, TrackSpec};
+    use cim_sim::rng::Rng;
+    use cim_sim::time::SimDuration;
+    let mut g = Group::new("obs");
+
+    let specs: Vec<SloSpec> = cim_workloads::serving::standard_request_mix()
+        .iter()
+        .map(|c| SloSpec::for_tenant(c.name, c.deadline))
+        .collect();
+    // Arrivals 625 ns apart on average (1.6 M req/s), each finishing
+    // 2–30 µs later, so finish times arrive nearly in order; one in 20
+    // is bad.
+    let mut rng = SeedTree::new(11).rng("obs");
+    let mut arrival = 0u64;
+    let finishes: Vec<(usize, SimTime, bool)> = (0..20_000)
+        .map(|_| {
+            arrival += rng.gen_range(1u64..1_250_000);
+            let finish = arrival + rng.gen_range(2_000_000u64..30_000_000);
+            let tenant = rng.gen_range(0..specs.len());
+            (tenant, SimTime::from_ps(finish), !rng.gen_bool(0.05))
+        })
+        .collect();
+    g.bench("slo_observe_20k", || {
+        let mut engine = SloEngine::new(specs.clone(), BurnRateRule::default_rules());
+        for &(tenant, at, good) in &finishes {
+            engine.observe(tenant, at, good, false);
+        }
+        engine.alerts().len()
+    });
+
+    let mut rec = TimeSeriesRecorder::new(SimDuration::from_us(10), 4096);
+    for t in TrackSpec::fleet_defaults(4) {
+        rec.track(&t.component, t.label);
+    }
+    // Ticks at 0, 10, …, 12 490 µs: counts, with every third track a
+    // fraction like a latency quantile.
+    let mut n = 0u64;
+    rec.sample_to(SimTime::from_ns(12_490_000), |track| {
+        n += 7;
+        if track % 3 == 0 {
+            n as f64 * 1.37
+        } else {
+            n as f64
+        }
+    });
+    g.bench("series_export_fleet", || rec.export_jsonl());
+    g.finish();
+}
+
 fn bench_associative() {
     let mut g = Group::new("associative");
     let mut cam = Tcam::new(1024, 32);
@@ -200,5 +256,6 @@ fn main() {
     bench_dataflow();
     bench_fabric();
     bench_telemetry();
+    bench_obs();
     bench_associative();
 }
