@@ -43,10 +43,9 @@ pub struct DpeConfig {
     /// larger digits cut the phase count at the cost of multi-level row
     /// drivers and a wider ADC input range.
     pub dac_bits: u32,
-    /// ADC resolution in bits.
+    /// ADC resolution in bits. Each array has one ADC, as in ISAAC, so
+    /// its columns are converted serially.
     pub adc_bits: u32,
-    /// ADCs shared per array (1 in ISAAC: columns are converted serially).
-    pub adcs_per_array: usize,
     /// Device (cell) parameters: bits per cell, noise, endurance.
     pub device: DeviceParams,
 }
@@ -61,7 +60,6 @@ impl Default for DpeConfig {
             input_bits: 8,
             dac_bits: cal::DAC_BITS,
             adc_bits: cal::ADC_BITS,
-            adcs_per_array: 1,
             device: DeviceParams::default(),
         }
     }
@@ -140,9 +138,6 @@ impl DpeConfig {
         }
         if !(1..=16).contains(&self.adc_bits) {
             return bad(format!("adc_bits must be in 1..=16, got {}", self.adc_bits));
-        }
-        if self.adcs_per_array == 0 {
-            return bad("adcs_per_array must be positive".to_owned());
         }
         if self.device.bits == 0 || self.device.bits > 8 {
             return bad(format!(
@@ -628,8 +623,7 @@ impl DotProductEngine {
         // arrays operate in parallel (each has its own ADC). One trailing
         // ADC sweep drains the pipeline.
         let settle = SimDuration::from_ps(cal::READ_PHASE_PS);
-        let adc_sweep =
-            self.adc.conversion_time() * (ac / self.config.adcs_per_array).max(1) as u64;
+        let adc_sweep = self.adc.conversion_time() * ac_n;
         let phase = settle.max(adc_sweep);
         let latency = phase * executed_phases + adc_sweep;
 
@@ -1272,11 +1266,6 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         let c = DpeConfig {
             weight_bits: 1,
-            ..DpeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = DpeConfig {
-            adcs_per_array: 0,
             ..DpeConfig::default()
         };
         assert!(c.validate().is_err());

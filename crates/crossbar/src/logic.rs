@@ -61,11 +61,6 @@ impl StatefulLogicEngine {
         }
     }
 
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Accumulated cost of all pulses so far.
     pub fn cost(&self) -> OpCost {
         self.cost

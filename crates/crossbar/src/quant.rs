@@ -103,11 +103,6 @@ impl Quantizer {
     pub fn dequantize(&self, q: i64) -> f64 {
         q as f64 * self.step()
     }
-
-    /// Quantizes a whole slice.
-    pub fn quantize_all(&self, xs: &[f64]) -> Vec<i64> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
-    }
 }
 
 /// `y.round() as i64` for `|y| < 2^63` or NaN — half away from zero,

@@ -9,7 +9,8 @@ use cim_sim::analytic::SimMode;
 /// A device is a `mesh_width × mesh_height` mesh of tiles; each tile holds
 /// `units_per_tile` micro-units (control + data + processing, Fig 5); each
 /// micro-unit owns a dot-product engine built from `dpe` plus a small
-/// digital ALU for non-matvec operators.
+/// digital ALU for non-matvec operators (rated by
+/// [`cim_sim::calib::alu`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Tiles per mesh row.
@@ -22,10 +23,6 @@ pub struct FabricConfig {
     pub dpe: DpeConfig,
     /// Whether packets between tiles are encrypted (§IV.A).
     pub encryption: bool,
-    /// Digital ALU throughput per micro-unit, ops/s.
-    pub digital_ops_per_sec: f64,
-    /// Digital ALU energy per op, femtojoules.
-    pub digital_energy_per_op_fj: u64,
     /// Simulation tier for the device's engines and NoC: detailed
     /// flow-level simulation (the calibration reference) or the analytic
     /// closed-form fast path cross-validated against it.
@@ -44,10 +41,6 @@ impl Default for FabricConfig {
             units_per_tile: 4,
             dpe: DpeConfig::default(),
             encryption: false,
-            // A 1 GHz, 4-lane vector ALU per micro-unit.
-            digital_ops_per_sec: 4.0e9,
-            // Local-SRAM operand energy: ~1 pJ/op.
-            digital_energy_per_op_fj: 1_000,
             sim_mode: SimMode::Detailed,
             seed: 0xC1A0_5EED,
         }
@@ -65,7 +58,7 @@ impl FabricConfig {
     /// # Errors
     ///
     /// Returns [`FabricError::InvalidConfig`] for degenerate meshes, zero
-    /// units, an invalid DPE configuration, or a non-positive ALU rate.
+    /// units or an invalid DPE configuration.
     pub fn validate(&self) -> Result<()> {
         if self.mesh_width == 0 || self.mesh_height == 0 {
             return Err(FabricError::InvalidConfig {
@@ -83,11 +76,6 @@ impl FabricConfig {
         if self.units_per_tile == 0 {
             return Err(FabricError::InvalidConfig {
                 reason: "units_per_tile must be positive".to_owned(),
-            });
-        }
-        if self.digital_ops_per_sec <= 0.0 || self.digital_ops_per_sec.is_nan() {
-            return Err(FabricError::InvalidConfig {
-                reason: "digital_ops_per_sec must be positive".to_owned(),
             });
         }
         self.dpe.validate().map_err(FabricError::from)?;
@@ -116,12 +104,6 @@ mod tests {
 
         let c = FabricConfig {
             units_per_tile: 0,
-            ..FabricConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = FabricConfig {
-            digital_ops_per_sec: 0.0,
             ..FabricConfig::default()
         };
         assert!(c.validate().is_err());

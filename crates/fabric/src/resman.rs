@@ -184,7 +184,7 @@ pub fn run_farm(
         let (values, done, energy) =
             device
                 .unit_mut(unit)
-                .execute(op, &[item.as_slice()], release, &config)?;
+                .execute(op, &[item.as_slice()], release)?;
         device.meter_mut().charge("compute", energy);
         report.outputs.push(values);
         report.completed.push(done);

@@ -628,6 +628,7 @@ mod tests {
     use cim_crossbar::dpe::DpeConfig;
     use cim_dataflow::graph::GraphBuilder;
     use cim_dataflow::ops::{Elementwise, Operation};
+    use cim_sim::telemetry::TelemetryLevel;
     use std::collections::HashMap;
 
     #[test]
@@ -818,10 +819,14 @@ mod tests {
     #[test]
     fn probes_are_noops_on_unarmed_devices() {
         let mut d = CimDevice::new(FabricConfig::default()).unwrap();
+        let t = d.enable_telemetry(TelemetryLevel::Metrics);
         attack_forge_token(&mut d, 0, SimTime::ZERO);
         attack_cross_partition(&mut d, NodeId::new(0, 0), 1, 16, SimTime::ZERO);
         attack_hostile_dataflow(&mut d, 1, SimTime::ZERO);
         assert!(d.attack_log().is_none());
-        assert_eq!(d.noc().stats().packets, 0);
+        let noc = t.component("noc");
+        for metric in ["packets", "isolation_rejects"] {
+            assert_eq!(t.with_registry(|r| r.counter(noc, metric)), Some(0));
+        }
     }
 }

@@ -40,6 +40,6 @@ pub mod packet;
 pub mod topology;
 
 pub use error::{NocError, Result};
-pub use network::{Delivery, IsolationPolicy, NocNetwork, NocStats};
+pub use network::{Delivery, IsolationPolicy, NocNetwork};
 pub use packet::{NodeId, Packet, TrafficClass};
 pub use topology::{Link, Mesh};

@@ -132,6 +132,15 @@ pub mod gpu {
     pub const TDP_W: f64 = 300.0;
 }
 
+/// The digital ALU beside each micro-unit's dot-product engine, which
+/// runs every operator other than matvec.
+pub mod alu {
+    /// Throughput per micro-unit, ops/s: a 1 GHz, 4-lane vector ALU.
+    pub const OPS_PER_SEC: f64 = 4.0e9;
+    /// Energy per op, fJ: local-SRAM operand energy, ~1 pJ/op.
+    pub const ENERGY_PER_OP_FJ: u64 = 1_000;
+}
+
 /// Network-on-chip constants for the CIM device's packet interconnect.
 ///
 /// Modeled after published mesh-NoC figures at a 28–22 nm node
@@ -152,8 +161,8 @@ pub mod noc {
     pub const CRYPTO_BYTE_FJ: u64 = 250;
     /// Extra latency per flit for link encryption, cycles.
     pub const CRYPTO_CYCLES: u64 = 2;
-    /// Virtual channels per physical link.
-    pub const VIRTUAL_CHANNELS: usize = 4;
+    /// Virtual channels per physical link: one per traffic class.
+    pub const VIRTUAL_CHANNELS: usize = 3;
 }
 
 /// Distributed-cluster constants for the Table 1 comparison.

@@ -215,12 +215,6 @@ impl Power {
         self.0
     }
 
-    /// Power in milliwatts.
-    #[inline]
-    pub fn as_mw(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Energy consumed by sustaining this power for `interval`.
     pub fn energy_over(self, interval: SimDuration) -> Energy {
         Energy::from_joules(self.0 * interval.as_secs_f64())

@@ -52,6 +52,6 @@ pub mod time;
 pub use analytic::SimMode;
 pub use energy::{Energy, EnergyMeter, Power};
 pub use rng::SeedTree;
-pub use stats::{Counter, Log2Histogram, Samples, Summary};
+pub use stats::{Log2Histogram, Samples};
 pub use telemetry::{ComponentId, MetricsRegistry, SpanId, SpanTracer, Telemetry, TelemetryLevel};
 pub use time::{SimDuration, SimTime};

@@ -4,143 +4,6 @@
 //! these accumulators are allocation-light and deterministic so they can sit
 //! on hot simulation paths.
 
-use core::fmt;
-
-/// Streaming summary statistics (Welford's online algorithm).
-///
-/// Tracks count, mean, variance, min and max of a stream of `f64` samples
-/// in O(1) space.
-///
-/// # Examples
-///
-/// ```
-/// use cim_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(2.0));
-/// assert_eq!(s.max(), Some(9.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN — a NaN sample silently poisons every derived
-    /// statistic, so it is rejected at the boundary.
-    pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "cannot record NaN sample");
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Population variance (divides by *n*); zero when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Smallest sample, if any were recorded.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any were recorded.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
-            self.count,
-            self.mean(),
-            self.population_std_dev(),
-            self.min().unwrap_or(0.0),
-            self.max().unwrap_or(0.0)
-        )
-    }
-}
-
 /// A base-2 logarithmic histogram over `u64` values.
 ///
 /// Bucket `i` covers `[2^(i-1), 2^i)` for `i >= 1`; bucket 0 covers the
@@ -456,94 +319,9 @@ impl Samples {
     }
 }
 
-/// A monotonically increasing named counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_empty_is_benign() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &data[..37] {
-            left.record(x);
-        }
-        for &x in &data[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(5.0);
-        let b = Summary::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = Summary::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot record NaN")]
-    fn summary_rejects_nan() {
-        Summary::new().record(f64::NAN);
-    }
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -659,14 +437,5 @@ mod tests {
         assert_eq!(s.percentile(100.0), Some(5.0));
         assert_eq!(s.mean(), 3.0);
         assert!(Samples::new().percentile(50.0).is_none());
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
     }
 }

@@ -21,7 +21,7 @@ use cim::noc::packet::NodeId;
 use cim::noc::topology::Mesh;
 use cim::sim::prop::{check, PropConfig};
 use cim::sim::rng::Rng;
-use cim::sim::stats::{Log2Histogram, Samples, Summary};
+use cim::sim::stats::{Log2Histogram, Samples};
 use cim::sim::SeedTree;
 use cim::sim::{prop_assert, prop_assert_eq, prop_assert_ne};
 
@@ -206,57 +206,6 @@ fn histogram_quantile_bounds_exact_percentile() {
             prop_assert!(
                 bound as f64 >= exact,
                 "log-histogram bound {bound} must dominate exact {exact}"
-            );
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn summary_merge_equals_sequential_for_arbitrary_splits() {
-    check(
-        "summary merge equals sequential for arbitrary splits",
-        &PropConfig::cases(64),
-        |rng| {
-            let n = rng.gen_range(0usize..200);
-            let split = rng.gen_range(0usize..201);
-            let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6f64..1e6)).collect();
-            (values, split)
-        },
-        |&(ref values, split)| {
-            let split = split.min(values.len());
-            let (first, second) = values.split_at(split);
-            let mut left = Summary::new();
-            let mut right = Summary::new();
-            let mut sequential = Summary::new();
-            for &v in first {
-                left.record(v);
-            }
-            for &v in second {
-                right.record(v);
-            }
-            for &v in values {
-                sequential.record(v);
-            }
-            left.merge(&right);
-            prop_assert_eq!(left.count(), sequential.count());
-            prop_assert_eq!(left.min(), sequential.min(), "min is exact");
-            prop_assert_eq!(left.max(), sequential.max(), "max is exact");
-            // Mean and variance go through different (but algebraically
-            // equal) float paths; compare to a scale-relative tolerance.
-            let tol = 1e-9 * (1.0 + sequential.mean().abs());
-            prop_assert!(
-                (left.mean() - sequential.mean()).abs() <= tol,
-                "merged mean {} vs sequential {}",
-                left.mean(),
-                sequential.mean()
-            );
-            let vtol = 1e-6 * (1.0 + sequential.population_variance().abs());
-            prop_assert!(
-                (left.population_variance() - sequential.population_variance()).abs() <= vtol,
-                "merged variance {} vs sequential {}",
-                left.population_variance(),
-                sequential.population_variance()
             );
             Ok(())
         },
