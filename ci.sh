@@ -20,7 +20,10 @@
 #   ./ci.sh           The full gate: quick plus the CIM_THREADS=4 test
 #   ./ci.sh full      pass (both test passes run the serving,
 #                     fleet-failover and power-loss soak tests), example
-#                     smokes, the one-million-request failover soak, the
+#                     smokes (quickstart, and secure_pipeline, whose
+#                     asserts cover the NoC's ciphertext on the wire,
+#                     its tamper rejection and its isolation boundary),
+#                     the one-million-request failover soak, the
 #                     chaos campaigns (clean sweep, 4-device fleet
 #                     sweep, power-loss sweep and the adversarial fleet
 #                     sweep, each gated on full action-kind coverage,
@@ -176,6 +179,13 @@ CIM_THREADS=4 cargo test --workspace -q --offline
 
 step "smoke-run examples/quickstart.rs"
 cargo run --release --offline --example quickstart
+
+step "smoke-run examples/secure_pipeline.rs"
+# The example asserts what the detailed NoC walk's cipher, tamper and
+# isolation steps must do: ciphertext on the wire, a tampered packet
+# rejected, and a cross-tenant packet blocked until the domains are
+# allowed. `cargo test` only builds examples, so this is where they run.
+cargo run --release --offline --example secure_pipeline
 
 step "telemetry smoke: quickstart --telemetry + schema check"
 SCRATCH="$(mktemp -d -t cim-ci-XXXXXX)"
