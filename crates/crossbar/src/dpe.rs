@@ -1675,6 +1675,277 @@ mod tests {
         );
     }
 
+    /// The analytic-tier cases [`analytic_matvec_is_pinned`] and
+    /// [`analytic_values_equal_the_quantized_reference`] run: the
+    /// standard serving mix's six layer shapes on the default engine,
+    /// column counts that leave every remainder of a column block,
+    /// multi-tile layouts, digit widths from the narrowest to the widest
+    /// inputs, and 24-bit weights.
+    fn analytic_cases() -> Vec<(DpeConfig, DenseMatrix)> {
+        let w = |rows: usize, cols: usize| {
+            DenseMatrix::from_fn(rows, cols, |r, c| {
+                (((r * 7 + c * 3) % 23) as f64 / 23.0) - 0.45
+            })
+        };
+        let mut cases: Vec<(DpeConfig, DenseMatrix)> =
+            [(16, 8), (8, 4), (32, 16), (16, 8), (64, 32), (32, 8)]
+                .into_iter()
+                .chain([1, 3, 5, 9, 33].map(|cols| (24, cols)))
+                .chain([(200, 150)])
+                .map(|(rows, cols)| (DpeConfig::default(), w(rows, cols)))
+                .collect();
+        cases.push((
+            DpeConfig {
+                array_rows: 512,
+                array_cols: 32,
+                ..DpeConfig::default()
+            },
+            w(300, 24),
+        ));
+        for (input_bits, dac_bits) in [(2, 1), (8, 3), (16, 1), (16, 7)] {
+            let config = DpeConfig {
+                input_bits,
+                dac_bits,
+                ..DpeConfig::default()
+            };
+            cases.push((config, w(40, 12)));
+        }
+        let config = DpeConfig {
+            weight_bits: 24,
+            ..DpeConfig::default()
+        };
+        cases.push((config, w(40, 12)));
+        cases
+    }
+
+    /// Mixed-sign, all-zero, all-negative and constant inputs, and one
+    /// whose entries sit exactly on quantization ties: its largest
+    /// magnitude is `qmax`, so the input step is exactly 1 and every
+    /// other entry is some `±(k + 0.5)`.
+    fn analytic_inputs(rows: usize, input_bits: u32) -> [Vec<f64>; 5] {
+        let qmax = (1u32 << (input_bits - 1)) - 1;
+        [
+            (0..rows)
+                .map(|i| ((i * 7 % 19) as f64 / 19.0) - 0.45)
+                .collect(),
+            vec![0.0; rows],
+            (0..rows)
+                .map(|i| -(((i % 11) as f64 + 1.0) / 11.0))
+                .collect(),
+            vec![0.75; rows],
+            (0..rows)
+                .map(|i| match i {
+                    0 => f64::from(qmax),
+                    _ => {
+                        let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                        sign * (f64::from(i as u32 * 5 % qmax) + 0.5)
+                    }
+                })
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn analytic_matvec_is_pinned() {
+        use cim_sim::rng::Fnv1a;
+        use cim_sim::telemetry::{Telemetry, TelemetryLevel};
+        // Per case: a digest of every output value's bits, each input's
+        // latency (ps) and energy (fJ), and a digest of the telemetry
+        // export. Engines with telemetry off and on must agree on
+        // values and cost. Any change to the analytic tier's values,
+        // cost or telemetry shows here.
+        let got: Vec<(u64, [u64; 5], [u64; 5], u64)> = analytic_cases()
+            .iter()
+            .map(|(config, w)| {
+                let xs = analytic_inputs(w.rows(), config.input_bits);
+                let run = |tel: Option<&Telemetry>| {
+                    let mut dpe = engine(config.clone());
+                    dpe.set_mode(SimMode::Analytic);
+                    if let Some(t) = tel {
+                        dpe.attach_telemetry(t, "mu0");
+                    }
+                    dpe.program(w).unwrap();
+                    let mut values = Fnv1a::new();
+                    let (mut ps, mut fj) = ([0; 5], [0; 5]);
+                    for (i, x) in xs.iter().enumerate() {
+                        let out = dpe.matvec(x).unwrap();
+                        for v in &out.values {
+                            values.write_u64(v.to_bits());
+                        }
+                        ps[i] = out.cost.latency.as_ps();
+                        fj[i] = out.cost.energy.as_fj();
+                    }
+                    (values.finish(), ps, fj)
+                };
+                let t = Telemetry::new(TelemetryLevel::Metrics);
+                let off = run(None);
+                let on = run(Some(&t));
+                assert_eq!(off, on, "telemetry changed the result: {config:?}");
+                let mut export = Fnv1a::new();
+                export.write(t.export_jsonl().as_bytes());
+                (on.0, on.1, on.2, export.finish())
+            })
+            .collect();
+        let want: Vec<(u64, [u64; 5], [u64; 5], u64)> = vec![
+            (
+                0xe20d_adc0_e092_9666,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [108_974_320, 3_198_976, 57_230_816, 59_252_288, 101_424_352],
+                0x256e_747e_d98e_0cf6,
+            ),
+            (
+                0x88ad_6f4b_3adf_4049,
+                [1_499_520, 99_968, 799_744, 799_744, 1_299_584],
+                [107_906_336, 3_198_976, 56_086_656, 57_116_448, 92_959_040],
+                0x5075_49d0_1de8_a508,
+            ),
+            (
+                0x7af4_8ed0_1243_305c,
+                [1_499_520, 99_968, 799_744, 799_744, 1_499_520],
+                [111_110_128, 3_198_976, 59_519_184, 63_523_968, 111_033_856],
+                0x7b92_7a68_5a7b_0c23,
+            ),
+            (
+                0xe20d_adc0_e092_9666,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [108_974_320, 3_198_976, 57_230_816, 59_252_288, 101_424_352],
+                0x256e_747e_d98e_0cf6,
+            ),
+            (
+                0x3167_353a_fdc5_55e9,
+                [1_499_520, 99_968, 799_744, 799_744, 1_499_520],
+                [115_458_064, 3_198_976, 64_134_160, 72_067_328, 115_267_360],
+                0xa0bd_15ea_daaf_8ef0,
+            ),
+            (
+                0xb298_9b3b_cc5e_f128,
+                [1_499_520, 99_968, 799_744, 799_744, 1_499_520],
+                [111_110_128, 3_198_976, 59_519_184, 63_523_968, 111_033_856],
+                0x1fdb_1b33_2194_c7ef,
+            ),
+            (
+                0x3505_6291_9eff_42ee,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [109_965_904, 3_198_976, 58_413_152, 61_388_128, 102_644_816],
+                0x2861_8a67_9e24_a14a,
+            ),
+            (
+                0x7a68_02b4_a478_62fe,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [109_965_904, 3_198_976, 58_413_152, 61_388_128, 102_644_816],
+                0xe090_d78e_46cc_49dc,
+            ),
+            (
+                0x3764_779f_8e0a_9658,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [109_965_904, 3_198_976, 58_413_152, 61_388_128, 102_644_816],
+                0xb3bc_bf66_d2c8_86ff,
+            ),
+            (
+                0xd947_dcc2_c8be_7513,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [109_965_904, 3_198_976, 58_413_152, 61_388_128, 102_644_816],
+                0x3c91_23b7_a880_3aca,
+            ),
+            (
+                0xb501_7494_2d5c_8ca2,
+                [1_499_520, 99_968, 799_744, 799_744, 1_399_552],
+                [109_965_904, 3_198_976, 58_413_152, 61_388_128, 102_644_816],
+                0xa781_5f77_c931_a4c3,
+            ),
+            (
+                0x4fcc_5b33_29d6_a4ef,
+                [1_499_520, 99_968, 799_744, 799_744, 1_499_520],
+                [
+                    481_588_864,
+                    12_795_904,
+                    278_047_648,
+                    326_714_432,
+                    480_749_696,
+                ],
+                0x5171_63ca_5624_c238,
+            ),
+            (
+                0x93d9_8606_c59d_af57,
+                [374_880, 24_992, 199_936, 199_936, 374_880],
+                [37_456_672, 799_744, 25_192_208, 34_776_624, 37_276_352],
+                0x74ff_20c9_0245_dcee,
+            ),
+            (
+                0x2a7d_f960_84c7_842a,
+                [299_904, 99_968, 199_936, 199_936, 299_904],
+                [18_718_368, 3_198_976, 11_359_152, 12_121_952, 19_519_328],
+                0xd411_f968_a062_ced2,
+            ),
+            (
+                0xae89_276c_81f4_052d,
+                [699_776, 99_968, 399_872, 399_872, 699_776],
+                [51_170_416, 3_198_976, 29_057_152, 30_121_504, 50_933_888],
+                0xba24_4f4b_d887_46b1,
+            ),
+            (
+                0xb7ce_b283_b339_a0ec,
+                [3_099_008, 99_968, 1_599_488, 1_599_488, 2_299_264],
+                [
+                    237_057_952,
+                    3_198_976,
+                    126_364_288,
+                    137_043_616,
+                    172_081_632,
+                ],
+                0x05cd_70ee_744f_d7e2,
+            ),
+            (
+                0xb7ce_b283_b339_a0ec,
+                [699_776, 99_968, 399_872, 399_872, 599_808],
+                [51_739_232, 3_198_976, 29_589_104, 30_428_704, 42_536_720],
+                0x25f9_9a3a_26d3_1b73,
+            ),
+            (
+                0x3c24_3363_070b_a6ce,
+                [1_499_520, 99_968, 799_744, 799_744, 1_499_520],
+                [168_381_480, 4_798_464, 90_995_112, 98_489_712, 167_980_992],
+                0x4371_0a47_b497_31d5,
+            ),
+        ];
+        assert_eq!(got, want, "{got:#x?}");
+    }
+
+    #[test]
+    fn analytic_values_equal_the_quantized_reference() {
+        // Independent of the engine's arithmetic: quantize inputs and
+        // weights with `Quantizer`, form the row-major f64 product, and
+        // scale it. Analytic values must equal it bit for bit.
+        for (config, w) in analytic_cases() {
+            let wq = Quantizer::new(config.weight_bits, w.max_abs()).unwrap();
+            let mut dpe = engine(config.clone());
+            dpe.set_mode(SimMode::Analytic);
+            dpe.program(&w).unwrap();
+            for x in analytic_inputs(w.rows(), config.input_bits) {
+                let max_abs = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let xq = Quantizer::new(config.input_bits, max_abs)
+                    .unwrap_or_else(|| Quantizer::new(config.input_bits, 1.0).unwrap());
+                let mut acc = vec![0.0f64; w.cols()];
+                for (r, &v) in x.iter().enumerate() {
+                    let qx = xq.quantize(v) as f64;
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a += qx * wq.quantize(w.get(r, c)) as f64;
+                    }
+                }
+                let scale = wq.step() * xq.step();
+                let want: Vec<u64> = acc.iter().map(|a| (a * scale).to_bits()).collect();
+                let got: Vec<u64> = dpe
+                    .matvec(&x)
+                    .unwrap()
+                    .values
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{config:?} {}x{}", w.rows(), w.cols());
+            }
+        }
+    }
+
     #[test]
     fn energy_per_mac_is_orders_below_digital_cpu() {
         let w = DenseMatrix::from_fn(128, 128, |r, c| (((r ^ c) % 31) as f64 / 31.0) - 0.5);
