@@ -7,9 +7,9 @@
 //! ablation sweeps this knob. ADC energy grows roughly 4× per extra bit
 //! (Murmann's ADC survey), which the energy model reflects.
 
-use crate::quant::round_half_away;
 use cim_sim::calib::dpe;
 use cim_sim::energy::Energy;
+use cim_sim::num::{round_half_away, round_to_u64};
 use cim_sim::time::SimDuration;
 
 /// A successive-approximation ADC digitizing column currents.
@@ -90,14 +90,14 @@ impl Adc {
     /// compare cycle (rate scales as 8/bits relative to the baseline).
     pub fn conversion_time(&self) -> SimDuration {
         let base_ps = 1e12 / dpe::ADC_SAMPLE_HZ;
-        SimDuration::from_ps((base_ps * self.bits as f64 / 8.0).round() as u64)
+        SimDuration::from_ps(round_to_u64(base_ps * self.bits as f64 / 8.0))
     }
 
     /// Energy of one conversion; scales ~4× per bit past the calibrated
     /// 8-bit design point (and down likewise).
     pub fn conversion_energy(&self) -> Energy {
         let scale = 4.0f64.powi(self.bits as i32 - 8);
-        Energy::from_fj((dpe::ADC_CONVERT_FJ as f64 * scale).round().max(1.0) as u64)
+        Energy::from_fj(round_to_u64(dpe::ADC_CONVERT_FJ as f64 * scale).max(1))
     }
 }
 

@@ -5,6 +5,8 @@
 //! inputs are quantized to `input_bits` signed fixed point and streamed
 //! bit-serially. These helpers define that mapping and its inverse.
 
+use cim_sim::num::round_half_away;
+
 /// A symmetric linear quantizer mapping `[-max_abs, max_abs]` onto signed
 /// integers `[-(2^(bits-1)-1), 2^(bits-1)-1]`.
 ///
@@ -103,18 +105,6 @@ impl Quantizer {
     pub fn dequantize(&self, q: i64) -> f64 {
         q as f64 * self.step()
     }
-}
-
-/// `y.round() as i64` for `|y| < 2^63` or NaN — half away from zero,
-/// NaN to 0 — without `f64::round`, which the baseline x86-64 target
-/// compiles to an out-of-line call. The cast truncates toward zero and
-/// leaves an exact remainder, which decides the rounding step without a
-/// branch.
-#[inline]
-pub(crate) fn round_half_away(y: f64) -> i64 {
-    let t = y as i64;
-    let r = y - t as f64;
-    t + i64::from(r >= 0.5) - i64::from(r <= -0.5)
 }
 
 /// Splits a non-negative integer into little-endian slices of

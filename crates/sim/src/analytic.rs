@@ -26,6 +26,7 @@
 //! cost — it replays the same integer cost arithmetic without the
 //! per-cell analog work — so the bounds only absorb contention effects.
 
+use crate::num::round_to_u64;
 use crate::time::SimDuration;
 use core::fmt;
 use core::str::FromStr;
@@ -113,7 +114,7 @@ pub fn mdl_wait(rho: f64, service: SimDuration) -> SimDuration {
     }
     let rho = rho.min(MAX_RHO);
     let wait_ps = service.as_ps() as f64 * rho / (2.0 * (1.0 - rho));
-    SimDuration::from_ps(wait_ps.round() as u64)
+    SimDuration::from_ps(round_to_u64(wait_ps))
 }
 
 /// An M/D/1 contention term with one fitted scale coefficient.
@@ -200,7 +201,7 @@ impl ContentionModel {
     /// with deterministic service time `service`.
     pub fn wait(&self, rho: f64, service: SimDuration) -> SimDuration {
         let base = mdl_wait(rho, service).as_ps() as f64;
-        SimDuration::from_ps((base * self.alpha).round() as u64)
+        SimDuration::from_ps(round_to_u64(base * self.alpha))
     }
 }
 

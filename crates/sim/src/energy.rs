@@ -5,6 +5,7 @@
 //! base unit resolves single memristor read events (~fJ–pJ) while `u64`
 //! femtojoules still spans ~18 kJ, far beyond any experiment here.
 
+use crate::num::round_to_u64;
 use crate::time::SimDuration;
 use core::fmt;
 use core::iter::Sum;
@@ -38,19 +39,19 @@ impl Energy {
     /// femtojoule. Negative inputs clamp to zero.
     #[inline]
     pub fn from_pj(pj: f64) -> Self {
-        Energy((pj * 1e3).round().max(0.0) as u64)
+        Energy(round_to_u64(pj * 1e3))
     }
 
     /// Creates an energy from nanojoules. Negative inputs clamp to zero.
     #[inline]
     pub fn from_nj(nj: f64) -> Self {
-        Energy((nj * 1e6).round().max(0.0) as u64)
+        Energy(round_to_u64(nj * 1e6))
     }
 
     /// Creates an energy from joules. Negative inputs clamp to zero.
     #[inline]
     pub fn from_joules(j: f64) -> Self {
-        Energy((j * 1e15).round().max(0.0) as u64)
+        Energy(round_to_u64(j * 1e15))
     }
 
     /// Energy in femtojoules.
@@ -92,7 +93,7 @@ impl Energy {
     /// Scales by a float factor, rounding; negative factors clamp to zero.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> Energy {
-        Energy((self.0 as f64 * factor).round().max(0.0) as u64)
+        Energy(round_to_u64(self.0 as f64 * factor))
     }
 }
 

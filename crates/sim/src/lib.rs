@@ -42,6 +42,7 @@ pub mod analytic;
 pub mod calib;
 pub mod energy;
 pub mod json;
+pub mod num;
 pub mod pool;
 pub mod prop;
 pub mod rng;

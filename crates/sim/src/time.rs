@@ -6,6 +6,7 @@
 //! sub-nanosecond analog settling times (crossbar reads) up to multi-second
 //! experiment horizons (`u64` picoseconds ≈ 213 days).
 
+use crate::num::round_to_u64;
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -65,14 +66,14 @@ impl SimDuration {
     /// rounding to the nearest picosecond. Negative inputs clamp to zero.
     #[inline]
     pub fn from_ns_f64(ns: f64) -> Self {
-        SimDuration((ns * 1_000.0).round().max(0.0) as u64)
+        SimDuration(round_to_u64(ns * 1_000.0))
     }
 
     /// Creates a duration from a floating-point second count,
     /// rounding to the nearest picosecond. Negative inputs clamp to zero.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1e12).round().max(0.0) as u64)
+        SimDuration(round_to_u64(s * 1e12))
     }
 
     /// Duration in whole picoseconds.
@@ -124,7 +125,7 @@ impl SimDuration {
     /// picosecond. Negative factors clamp to zero.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor).round().max(0.0) as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// The larger of two durations.
@@ -327,7 +328,7 @@ impl fmt::Display for SimTime {
 /// ```
 pub fn period_of_hz(hz: f64) -> SimDuration {
     assert!(hz > 0.0, "frequency must be positive, got {hz}");
-    SimDuration::from_ps((1e12 / hz).round() as u64)
+    SimDuration::from_ps(round_to_u64(1e12 / hz))
 }
 
 #[cfg(test)]
