@@ -54,6 +54,33 @@ pub(crate) fn read_phase_fj(rows: usize, active: u64) -> u64 {
     dpe::READ_PHASE_FJ * active / rows.max(1) as u64 + dpe::DAC_DRIVE_FJ * active
 }
 
+/// [`read_phase_fj`] for one array height, with its division by `rows`
+/// done once: `⌊READ_PHASE_FJ · active / rows⌋` is the high word of
+/// `active · ⌈2^64 · READ_PHASE_FJ / rows⌉`. The rounding error of that
+/// reciprocal is below one, so the product overshoots the true quotient
+/// by less than `active / 2^64 < 1 / rows` — the least a fractional
+/// quotient falls short of the next integer — for every `active ≤ rows`
+/// of a valid array (fewer than 2^32 rows).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReadPhaseEnergy {
+    per_row: u128,
+}
+
+impl ReadPhaseEnergy {
+    pub(crate) fn new(rows: usize) -> Self {
+        let rows = rows.max(1) as u128;
+        ReadPhaseEnergy {
+            per_row: (u128::from(dpe::READ_PHASE_FJ) << 64).div_ceil(rows),
+        }
+    }
+
+    /// `read_phase_fj(rows, active)`, for `active ≤ rows`.
+    #[inline]
+    pub(crate) fn fj(self, active: u64) -> u64 {
+        ((u128::from(active) * self.per_row) >> 64) as u64 + dpe::DAC_DRIVE_FJ * active
+    }
+}
+
 /// Lists a read phase's driven rows: row `r` is driven at DAC level
 /// `levels[r]`, and 0 leaves it idle. Writes `(r, level)` for each driven
 /// row, rows ascending, to the front of `driven`, which must be at least as
@@ -1000,6 +1027,46 @@ mod tests {
                             Ok(cell.target_level()),
                             "cell {i} after step {step}"
                         );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn read_phase_energy_equals_the_division() {
+        use cim_sim::prop::{check, PropConfig};
+        use cim_sim::rng::Rng;
+        check(
+            "ReadPhaseEnergy::fj equals read_phase_fj",
+            &PropConfig::cases(256),
+            |rng| {
+                // Heights from 1 row to the u32::MAX-cell limit.
+                let bits = rng.gen_range(0u32..33);
+                let rows = rng.gen_range(1u64..(1u64 << bits).min(u64::from(u32::MAX)) + 1);
+                let active: Vec<u64> = (0..64).map(|_| rng.gen_range(0..rows + 1)).collect();
+                (rows, active)
+            },
+            |(rows, active)| {
+                let rows = *rows as usize;
+                let e = ReadPhaseEnergy::new(rows);
+                // Every count on short arrays, both ends and the sample
+                // on tall ones.
+                let every = if rows <= 4096 {
+                    0..rows as u64 + 1
+                } else {
+                    0..0
+                };
+                let ends = [0, 1, rows as u64 - 1, rows as u64];
+                for a in every.chain(ends).chain(active.iter().copied()) {
+                    let a = a.min(rows as u64);
+                    if e.fj(a) != read_phase_fj(rows, a) {
+                        return Err(format!(
+                            "rows {rows}, active {a}: {} vs {}",
+                            e.fj(a),
+                            read_phase_fj(rows, a)
+                        ));
                     }
                 }
                 Ok(())

@@ -16,7 +16,7 @@
 //! the weights, which is the whole point of the CIM model.
 
 use crate::adc::Adc;
-use crate::array::{driven_rows, read_phase_fj, CrossbarArray, OpCost};
+use crate::array::{driven_rows, CrossbarArray, OpCost, ReadPhaseEnergy};
 use crate::device::DeviceParams;
 use crate::error::{CrossbarError, Result};
 use crate::matrix::DenseMatrix;
@@ -222,7 +222,74 @@ pub struct DotProductEngine {
     tel_dac: ComponentId,
     tel_adc: ComponentId,
     tel_digital: ComponentId,
+    costs: MatvecCosts,
     scratch: MatvecScratch,
+}
+
+/// The most read phases a matvec can run: two polarities of at most 15
+/// one-bit digits (16-bit inputs).
+const MAX_PHASES: usize = 30;
+
+/// Everything a matvec charges that depends only on the configuration
+/// and the tiling, computed once in [`DotProductEngine::new`] and
+/// [`DotProductEngine::program`], so each call pays only for its counts.
+#[derive(Debug, Clone)]
+struct MatvecCosts {
+    /// DAC digits per input magnitude.
+    n_digits: usize,
+    /// One array's read-phase energy by driven-row count.
+    read_phase: ReadPhaseEnergy,
+    /// One ADC conversion, in fJ.
+    conversion_fj: u64,
+    /// One array read: every column converted and shift-added.
+    per_read_fj: u64,
+    /// A driven row's extra DAC energy: multi-level drivers cost roughly
+    /// linear in digit width.
+    per_drive_fj: u64,
+    /// The analog settle of one read phase.
+    settle: SimDuration,
+    /// One ADC sweep over an array's columns.
+    adc_sweep: SimDuration,
+    /// One pipelined phase: the settle overlaps the previous phase's
+    /// sweep, so it takes the longer of the two.
+    phase: SimDuration,
+    /// Arrays per row tile: every column tile's signs and slices.
+    row_tile_arrays: u64,
+    /// Entry `k`: the occupied arrays' static energy, in fJ, over a
+    /// matvec of `k` executed phases.
+    static_fj: [u64; MAX_PHASES + 1],
+}
+
+impl MatvecCosts {
+    fn new(config: &DpeConfig, adc: &Adc) -> Self {
+        let settle = SimDuration::from_ps(cal::READ_PHASE_PS);
+        let adc_sweep = adc.conversion_time() * config.array_cols as u64;
+        let conversion_fj = adc.conversion_energy().as_fj();
+        MatvecCosts {
+            // Magnitudes fit in input_bits-1 bits.
+            n_digits: (config.input_bits - 1).div_ceil(config.dac_bits) as usize,
+            read_phase: ReadPhaseEnergy::new(config.array_rows),
+            conversion_fj,
+            per_read_fj: (conversion_fj + cal::SHIFT_ADD_FJ) * config.array_cols as u64,
+            per_drive_fj: cal::DAC_DRIVE_FJ * u64::from(config.dac_bits - 1),
+            settle,
+            adc_sweep,
+            phase: settle.max(adc_sweep),
+            row_tile_arrays: 0,
+            static_fj: [0; MAX_PHASES + 1],
+        }
+    }
+
+    /// Sets the tiling's counts: static power of the occupied arrays over
+    /// the occupied interval, for every count of executed phases.
+    fn set_tiling(&mut self, row_tiles: usize, col_tiles: usize, slices: usize) {
+        self.row_tile_arrays = (col_tiles * 2 * slices) as u64;
+        let arrays = (row_tiles * col_tiles * 2 * slices) as f64;
+        for (k, fj) in (0u64..).zip(&mut self.static_fj[..=2 * self.n_digits]) {
+            let latency = self.phase * k + self.adc_sweep;
+            *fj = Energy::from_joules(cal::TILE_STATIC_W * arrays * latency.as_secs_f64()).as_fj();
+        }
+    }
 }
 
 /// Working buffers of [`DotProductEngine::matvec`], kept between calls so
@@ -231,9 +298,6 @@ pub struct DotProductEngine {
 struct MatvecScratch {
     /// The quantized input, one signed entry per matrix row.
     q: Vec<i32>,
-    /// Its positive and negative magnitudes, one entry per matrix row
-    /// each.
-    mags: [Vec<u32>; 2],
     /// Active rows of every (polarity, digit, row tile): entry
     /// `(row_tile · 2 + polarity) · digits + digit`.
     active: Vec<u32>,
@@ -241,9 +305,10 @@ struct MatvecScratch {
     /// ascending; its first `active` entries are live (detailed tier
     /// only).
     driven: Vec<(usize, f64)>,
-    /// One array's column sums.
+    /// One array's column sums (detailed tier only).
     sums: Vec<f64>,
-    /// The shift-and-add accumulator, one entry per matrix column.
+    /// The shift-and-add accumulator, one entry per matrix column
+    /// (detailed tier only).
     acc: Vec<f64>,
 }
 
@@ -256,8 +321,19 @@ struct MatvecScratch {
 /// One pass and no data-dependent branch: each row's nonzero digits
 /// become one bit each, which are spread into byte lanes and summed,
 /// eight digits to a `u64`. A lane holds 255 rows, so the rows are taken
-/// 255 at a time.
+/// 255 at a time. At most 8 digits (8-bit inputs have 7) fill one `u64`
+/// per polarity, so only more digits pay for a second.
 fn count_active_rows(q: &[i32], dac_bits: u32, counts: &mut [u32]) {
+    if counts.len() / 2 <= 8 {
+        count_active_rows_in::<1>(q, dac_bits, counts);
+    } else {
+        count_active_rows_in::<2>(q, dac_bits, counts);
+    }
+}
+
+/// [`count_active_rows`] with `HALVES` byte-lane words per polarity,
+/// digits `0..8` in the first and `8..16` in the second.
+fn count_active_rows_in<const HALVES: usize>(q: &[i32], dac_bits: u32, counts: &mut [u32]) {
     const ONES: u64 = 0x0101_0101_0101_0101;
     // Byte k of the result is bit k of `bits`, for k in 0..8.
     let spread = |bits: u64| {
@@ -268,7 +344,7 @@ fn count_active_rows(q: &[i32], dac_bits: u32, counts: &mut [u32]) {
     let digit_mask = (1u32 << dac_bits) - 1;
     for rows in q.chunks(255) {
         // Per polarity: digits 0..8, then digits 8..16.
-        let mut lanes = [[0u64; 2]; 2];
+        let mut lanes = [[0u64; HALVES]; 2];
         for &v in rows {
             let m = v.unsigned_abs();
             // Bit d is set when digit d of the magnitude is nonzero.
@@ -282,8 +358,8 @@ fn count_active_rows(q: &[i32], dac_bits: u32, counts: &mut [u32]) {
             // All ones for a negative value, whose digits drive the
             // negative phases; a zero sets no bit in either.
             let negative = u64::from(v < 0).wrapping_neg();
-            for (half, bits) in [nonzero, nonzero >> 8].into_iter().enumerate() {
-                let bytes = spread(u64::from(bits));
+            for half in 0..HALVES {
+                let bytes = spread(u64::from(nonzero >> (8 * half)));
                 lanes[0][half] += bytes & !negative;
                 lanes[1][half] += bytes & negative;
             }
@@ -294,6 +370,50 @@ fn count_active_rows(q: &[i32], dac_bits: u32, counts: &mut [u32]) {
             }
         }
     }
+}
+
+/// The analytic tier's values: `scale · Σ_r q[r] · w[r][c]` for every
+/// column `c` of the row-major `q.len() × cols` matrix `w`, the columns
+/// taken in blocks whose sums stay in registers. Each column adds its
+/// rows in ascending order, as a row-major pass would, so every value is
+/// the same float. A zero input row adds ±0.0 to a sum that starts at
+/// +0.0 and so is never −0.0: an exact no-op.
+fn quantized_product(q: &[i32], w: &[f64], cols: usize, scale: f64) -> Vec<f64> {
+    let mut values = Vec::with_capacity(cols);
+    let mut c0 = 0;
+    while cols - c0 >= 8 {
+        column_block::<8>(q, w, cols, c0, scale, &mut values);
+        c0 += 8;
+    }
+    if cols - c0 >= 4 {
+        column_block::<4>(q, w, cols, c0, scale, &mut values);
+        c0 += 4;
+    }
+    while c0 < cols {
+        column_block::<1>(q, w, cols, c0, scale, &mut values);
+        c0 += 1;
+    }
+    values
+}
+
+/// Appends columns `c0..c0 + B` of [`quantized_product`] to `values`.
+fn column_block<const B: usize>(
+    q: &[i32],
+    w: &[f64],
+    cols: usize,
+    c0: usize,
+    scale: f64,
+    values: &mut Vec<f64>,
+) {
+    let mut acc = [0.0f64; B];
+    for (&qr, row) in q.iter().zip(w.chunks_exact(cols)) {
+        let qf = f64::from(qr);
+        let block: &[f64; B] = row[c0..c0 + B].try_into().expect("B columns");
+        for (a, &wv) in acc.iter_mut().zip(block) {
+            *a += qf * wv;
+        }
+    }
+    values.extend(acc.iter().map(|&a| a * scale));
 }
 
 impl DotProductEngine {
@@ -311,6 +431,7 @@ impl DotProductEngine {
         let full_scale =
             (config.array_rows as f64) * f64::from(config.device.max_level().max(1)) * max_drive;
         let adc = Adc::new(config.adc_bits, full_scale).expect("validated adc bits");
+        let costs = MatvecCosts::new(&config, &adc);
         DotProductEngine {
             config,
             adc,
@@ -330,6 +451,7 @@ impl DotProductEngine {
             tel_dac: ComponentId::NONE,
             tel_adc: ComponentId::NONE,
             tel_digital: ComponentId::NONE,
+            costs,
             scratch: MatvecScratch::default(),
         }
     }
@@ -452,6 +574,7 @@ impl DotProductEngine {
         }
 
         self.arrays = all;
+        self.costs.set_tiling(row_tiles, col_tiles, slices);
         self.weight_quant = Some(wq);
         self.q_weights = q_weights;
         self.matrix_rows = weights.rows();
@@ -508,7 +631,13 @@ impl DotProductEngine {
                 what: "input vector length",
             });
         }
-        if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+        // One pass takes the input range and checks every entry finite.
+        let (max_abs, finite) = x.iter().fold((0.0f64, true), |(m, finite), &v| {
+            let a = v.abs();
+            (if a > m { a } else { m }, finite & (a <= f64::MAX))
+        });
+        if !finite {
+            let i = x.iter().position(|v| !v.is_finite()).unwrap_or(0);
             return Err(CrossbarError::InvalidConfig {
                 reason: format!("input entry {i} is {}, inputs must be finite", x[i]),
             });
@@ -516,53 +645,30 @@ impl DotProductEngine {
         let wq = self
             .weight_quant
             .expect("programmed engine has a quantizer");
-        let xq = Quantizer::new(
-            self.config.input_bits,
-            x.iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()))
-                .max(f64::MIN_POSITIVE),
-        )
-        .or_else(|| Quantizer::new(self.config.input_bits, 1.0))
-        .expect("validated input bits");
+        let xq = Quantizer::new(self.config.input_bits, max_abs.max(f64::MIN_POSITIVE))
+            .or_else(|| Quantizer::new(self.config.input_bits, 1.0))
+            .expect("validated input bits");
+        let costs = &self.costs;
         let (ar, ac) = (self.config.array_rows, self.config.array_cols);
-        let slices = self.config.slices();
         let dac_bits = self.config.dac_bits;
-        // Magnitudes fit in input_bits-1 bits; digits are streamed
-        // little-endian, positive and negative polarities separately
-        // (an analog sum cannot mix signs on the same wire).
-        let n_digits = (self.config.input_bits - 1).div_ceil(dac_bits) as usize;
+        // Digits are streamed little-endian, positive and negative
+        // polarities separately (an analog sum cannot mix signs on the
+        // same wire).
+        let n_digits = costs.n_digits;
+        let n_phases = 2 * n_digits;
         let row_tiles = self.arrays.len();
-        let col_tiles = self.arrays[0].len();
 
-        // Taken for the call and put back at the end.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let rows = self.matrix_rows;
-        scratch.q.resize(rows, 0);
-        let [pos_mag, neg_mag] = &mut scratch.mags;
-        pos_mag.resize(rows, 0);
-        neg_mag.resize(rows, 0);
-        // input_bits ≤ 16, so a quantized value fits an i32. Each is
-        // written with both magnitudes, one of them zero, in arithmetic
-        // that never branches on its sign.
-        for (((&v, q), p), n) in x
-            .iter()
-            .zip(&mut scratch.q)
-            .zip(pos_mag.iter_mut())
-            .zip(neg_mag.iter_mut())
-        {
-            let v = xq.quantize(v) as i32;
-            let magnitude = v.unsigned_abs();
-            *q = v;
-            *p = magnitude.wrapping_add(v as u32) >> 1;
-            *n = magnitude.wrapping_sub(v as u32) >> 1;
-        }
+        // input_bits ≤ 16, so a quantized value fits an i32.
+        let scratch = &mut self.scratch;
+        scratch.q.clear();
+        scratch.q.extend(x.iter().map(|&v| xq.quantize(v) as i32));
         // Every phase's active rows, counted once for both tiers.
         scratch.active.clear();
-        scratch.active.resize(row_tiles * 2 * n_digits, 0);
+        scratch.active.resize(row_tiles * n_phases, 0);
         for (tile, counts) in scratch
             .q
             .chunks(ar)
-            .zip(scratch.active.chunks_exact_mut(2 * n_digits))
+            .zip(scratch.active.chunks_exact_mut(n_phases))
         {
             count_active_rows(tile, dac_bits, counts);
         }
@@ -572,29 +678,24 @@ impl DotProductEngine {
         // (phase, row tile) charges one array's integers times the array
         // count, on both tiers. Phases run positive polarity first, digit
         // 0 upward.
-        let n_arr = (col_tiles * 2 * slices) as u64;
-        let ac_n = ac as u64;
-        let conversion_fj = self.adc.conversion_energy().as_fj();
-        // Each array read converts and shift-adds every column.
-        let per_read_fj = (conversion_fj + cal::SHIFT_ADD_FJ) * ac_n;
-        // Multi-level drivers cost extra DAC energy, roughly linear in
-        // digit width.
-        let per_drive_fj = cal::DAC_DRIVE_FJ * u64::from(dac_bits - 1);
+        let n_arr = costs.row_tile_arrays;
+        let tel_on = self.tel.is_enabled();
         let (mut reads, mut drives, mut read_phase_sum_fj) = (0u64, 0u64, 0u64);
-        let mut executed_phases = 0u64;
-        for phase in 0..2 * n_digits {
+        let mut executed_phases = 0usize;
+        for phase in 0..n_phases {
             let (mut phase_reads, mut phase_drives, mut phase_array_fj) = (0u64, 0u64, 0u64);
-            for counts in scratch.active.chunks_exact(2 * n_digits) {
+            for counts in scratch.active.chunks_exact(n_phases) {
                 let active = u64::from(counts[phase]);
                 phase_reads += u64::from(active != 0);
                 phase_drives += active;
-                phase_array_fj += read_phase_fj(ar, active);
+                phase_array_fj += costs.read_phase.fj(active);
             }
-            if phase_reads > 0 {
-                executed_phases += 1;
-                let phase_fj =
-                    (phase_array_fj + per_drive_fj * phase_drives + per_read_fj * phase_reads)
-                        * n_arr;
+            executed_phases += usize::from(phase_reads > 0);
+            if tel_on && phase_reads > 0 {
+                let phase_fj = (phase_array_fj
+                    + costs.per_drive_fj * phase_drives
+                    + costs.per_read_fj * phase_reads)
+                    * n_arr;
                 self.tel.record(self.tel_array, "phase_energy_fj", phase_fj);
             }
             reads += phase_reads;
@@ -603,44 +704,33 @@ impl DotProductEngine {
         }
         let slice_reads = reads * n_arr;
         let dac_drives = drives * n_arr;
-        let conversions = slice_reads * ac_n;
+        let conversions = slice_reads * ac as u64;
         // Per-category energy in fJ, for telemetry to attribute to DAC /
         // ADC / array / digital.
         let array_fj = read_phase_sum_fj * n_arr;
-        let dac_fj = per_drive_fj * dac_drives;
-        let adc_fj = conversion_fj * conversions;
+        let dac_fj = costs.per_drive_fj * dac_drives;
+        let adc_fj = costs.conversion_fj * conversions;
         let digital_fj = cal::SHIFT_ADD_FJ * conversions;
-
-        scratch.acc.clear();
-        scratch.acc.resize(self.matrix_cols, 0.0);
-        if self.mode == SimMode::Detailed {
-            self.read_phases(&mut scratch, n_digits);
-        }
 
         // Latency: executed phases run back to back; within a phase the
         // analog settle overlaps the previous phase's ADC sweep
         // (pipelined), so the phase time is the max of the two. All
         // arrays operate in parallel (each has its own ADC). One trailing
-        // ADC sweep drains the pipeline.
-        let settle = SimDuration::from_ps(cal::READ_PHASE_PS);
-        let adc_sweep = self.adc.conversion_time() * ac_n;
-        let phase = settle.max(adc_sweep);
-        let latency = phase * executed_phases + adc_sweep;
-
-        // Static power of the occupied tiles over the occupied interval.
-        let arrays = (row_tiles * col_tiles * 2 * slices) as f64;
-        let static_fj =
-            Energy::from_joules(cal::TILE_STATIC_W * arrays * latency.as_secs_f64()).as_fj();
+        // ADC sweep drains the pipeline. Static power of the occupied
+        // tiles is charged over that interval.
+        let pipelined = costs.phase * executed_phases as u64;
+        let latency = pipelined + costs.adc_sweep;
+        let static_fj = costs.static_fj[executed_phases];
         let energy = Energy::from_fj(array_fj + dac_fj + adc_fj + digital_fj + static_fj);
 
-        if self.tel.is_enabled() {
+        if tel_on {
             // Latency attribution is disjoint so per-stage busy times sum
             // exactly to the matvec latency: each pipelined phase goes to
             // the dominant stage, the trailing drain sweep to the ADC.
-            let (array_ps, adc_ps) = if settle >= adc_sweep {
-                ((phase * executed_phases).as_ps(), adc_sweep.as_ps())
+            let (array_ps, adc_ps) = if costs.settle >= costs.adc_sweep {
+                (pipelined.as_ps(), costs.adc_sweep.as_ps())
             } else {
-                (0, (phase * executed_phases + adc_sweep).as_ps())
+                (0, latency.as_ps())
             };
             self.tel
                 .counter_add(self.tel_array, "energy_fj", array_fj + static_fj);
@@ -662,25 +752,22 @@ impl DotProductEngine {
             self.tel.counter_add(self.tel_digital, "mvms", 1);
         }
 
-        if self.mode == SimMode::Analytic {
-            // Exact quantized product: no analog read ran, so `acc` is
-            // still zero. Accumulation order is fixed (row-major),
-            // independent of host threading.
-            for (r, &q) in scratch.q.iter().enumerate() {
-                if q == 0 {
-                    continue;
-                }
-                let qf = f64::from(q);
-                let row = &self.q_weights[r * self.matrix_cols..(r + 1) * self.matrix_cols];
-                for (a, &w) in scratch.acc.iter_mut().zip(row) {
-                    *a += qf * w;
-                }
-            }
-        }
-
         let scale = wq.step() * xq.step();
-        let values: Vec<f64> = scratch.acc.iter().map(|&a| a * scale).collect();
-        self.scratch = scratch;
+        let values = match self.mode {
+            SimMode::Detailed => {
+                let mut scratch = std::mem::take(&mut self.scratch);
+                scratch.acc.clear();
+                scratch.acc.resize(self.matrix_cols, 0.0);
+                self.read_phases(&mut scratch, n_digits);
+                let values = scratch.acc.iter().map(|&a| a * scale).collect();
+                self.scratch = scratch;
+                values
+            }
+            // Exact quantized product: no analog noise, no ADC.
+            SimMode::Analytic => {
+                quantized_product(&self.scratch.q, &self.q_weights, self.matrix_cols, scale)
+            }
+        };
         let cost = OpCost { latency, energy };
         self.total_energy += cost.energy;
         self.total_busy += cost.latency;
@@ -699,7 +786,9 @@ impl DotProductEngine {
         let digit_base = 1u64 << dac_bits;
         let digit_mask = (digit_base - 1) as u32;
         scratch.driven.resize(ar.min(self.matrix_rows), (0, 0.0));
-        for (polarity, polarity_f) in [1.0f64, -1.0].into_iter().enumerate() {
+        for (polarity, (polarity_i, polarity_f)) in
+            [(1, 1.0f64), (-1, -1.0)].into_iter().enumerate()
+        {
             for d in 0..n_digits {
                 let digit_weight = polarity_f * digit_base.pow(d as u32) as f64;
                 let shift = d as u32 * dac_bits;
@@ -708,10 +797,13 @@ impl DotProductEngine {
                     if active == 0 {
                         continue;
                     }
-                    // Padding rows past the matrix are never driven.
-                    let rows =
-                        &scratch.mags[polarity][rt * ar..((rt + 1) * ar).min(self.matrix_rows)];
-                    let levels = rows.iter().map(|&m| (m >> shift) & digit_mask);
+                    // Padding rows past the matrix are never driven. A
+                    // row's magnitude in this polarity is its quantized
+                    // value's, or 0 for the other sign.
+                    let rows = &scratch.q[rt * ar..((rt + 1) * ar).min(self.matrix_rows)];
+                    let levels = rows
+                        .iter()
+                        .map(|&v| ((polarity_i * v).max(0) as u32 >> shift) & digit_mask);
                     let n = driven_rows(levels, &mut scratch.driven);
                     debug_assert_eq!(n, active);
                     let driven = &scratch.driven[..n];
