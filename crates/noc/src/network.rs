@@ -147,6 +147,9 @@ struct LinkState {
 pub struct NocNetwork {
     mesh: Mesh,
     links: HashMap<Link, LinkState>,
+    /// The current transfer's route, reused so routing allocates only
+    /// while it grows.
+    path: Vec<NodeId>,
     policy: IsolationPolicy,
     encryption: bool,
     /// Fault injection: when set, the domain boundary check is skipped
@@ -181,6 +184,7 @@ impl NocNetwork {
         Ok(NocNetwork {
             mesh,
             links: HashMap::new(),
+            path: Vec::new(),
             policy: IsolationPolicy::new(),
             encryption: false,
             leak_cross_partition: false,
@@ -476,8 +480,8 @@ impl NocNetwork {
             self.tel.counter_add(self.tel_root, "isolation_rejects", 1);
             return Err(NocError::IsolationViolation { src, dst });
         }
-        let path = self.mesh.route(src, dst)?;
-        let hops = path.len().saturating_sub(1) as u32;
+        self.mesh.route_into(src, dst, &mut self.path)?;
+        let hops = self.path.len().saturating_sub(1) as u32;
         let vc = class.virtual_channel();
         let flits = flit_count_for(bytes);
         let serialization = Self::cycle() * (flits * cal::LINK_CYCLES);
@@ -489,7 +493,7 @@ impl NocNetwork {
             cursor += c.latency;
             energy += c.energy;
         }
-        for w in path.windows(2) {
+        for w in self.path.windows(2) {
             let link = Link::new(w[0], w[1]);
             let st = self.links.entry(link).or_default();
             // `backlog` is how far the link's queue extends past the

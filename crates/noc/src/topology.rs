@@ -7,7 +7,6 @@
 
 use crate::error::{NocError, Result};
 use crate::packet::NodeId;
-use std::collections::HashSet;
 
 /// A directed link between two adjacent mesh nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +46,9 @@ impl Link {
 pub struct Mesh {
     width: usize,
     height: usize,
-    failed_links: HashSet<Link>,
+    /// Failed directed links, sorted and without duplicates. A mesh has
+    /// few, and every route checks its hops against them.
+    failed_links: Vec<Link>,
 }
 
 impl Mesh {
@@ -61,7 +62,7 @@ impl Mesh {
         Some(Mesh {
             width,
             height,
-            failed_links: HashSet::new(),
+            failed_links: Vec::new(),
         })
     }
 
@@ -111,19 +112,27 @@ impl Mesh {
     /// Marks a directed link as failed (and its reverse, matching how a
     /// physical link fault takes out both directions).
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed_links.insert(Link::new(a, b));
-        self.failed_links.insert(Link::new(b, a));
+        for link in [Link::new(a, b), Link::new(b, a)] {
+            if let Err(at) = self.failed_links.binary_search(&link) {
+                self.failed_links.insert(at, link);
+            }
+        }
     }
 
     /// Restores a previously failed link (both directions).
     pub fn repair_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed_links.remove(&Link::new(a, b));
-        self.failed_links.remove(&Link::new(b, a));
+        for link in [Link::new(a, b), Link::new(b, a)] {
+            if let Ok(at) = self.failed_links.binary_search(&link) {
+                self.failed_links.remove(at);
+            }
+        }
     }
 
     /// Whether the directed link is currently failed.
     pub fn link_failed(&self, from: NodeId, to: NodeId) -> bool {
-        self.failed_links.contains(&Link::new(from, to))
+        self.failed_links
+            .binary_search(&Link::new(from, to))
+            .is_ok()
     }
 
     /// Number of failed (undirected) links.
@@ -131,33 +140,41 @@ impl Mesh {
         self.failed_links.len() / 2
     }
 
-    fn walk(src: NodeId, dst: NodeId, x_first: bool) -> Vec<NodeId> {
-        let mut path = vec![src];
-        let mut cur = src;
-        let advance_x = |cur: &mut NodeId, path: &mut Vec<NodeId>| {
-            while cur.x != dst.x {
+    /// The nodes after `src` on the dimension-ordered walk to `dst`: X
+    /// first, then Y, or the reverse.
+    fn walk(src: NodeId, dst: NodeId, x_first: bool) -> impl Iterator<Item = NodeId> {
+        let step_x = move |cur: &mut NodeId| {
+            let moved = cur.x != dst.x;
+            if moved {
                 cur.x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-                path.push(*cur);
             }
+            moved
         };
-        let advance_y = |cur: &mut NodeId, path: &mut Vec<NodeId>| {
-            while cur.y != dst.y {
+        let step_y = move |cur: &mut NodeId| {
+            let moved = cur.y != dst.y;
+            if moved {
                 cur.y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-                path.push(*cur);
             }
+            moved
         };
-        if x_first {
-            advance_x(&mut cur, &mut path);
-            advance_y(&mut cur, &mut path);
-        } else {
-            advance_y(&mut cur, &mut path);
-            advance_x(&mut cur, &mut path);
-        }
-        path
+        let mut cur = src;
+        std::iter::from_fn(move || {
+            let moved = if x_first {
+                step_x(&mut cur) || step_y(&mut cur)
+            } else {
+                step_y(&mut cur) || step_x(&mut cur)
+            };
+            moved.then_some(cur)
+        })
     }
 
-    fn path_alive(&self, path: &[NodeId]) -> bool {
-        path.windows(2).all(|w| !self.link_failed(w[0], w[1]))
+    /// Whether every link of the dimension-ordered walk is alive, checked
+    /// hop by hop without building the path.
+    fn walk_alive(&self, src: NodeId, dst: NodeId, x_first: bool) -> bool {
+        let mut from = src;
+        self.failed_links.is_empty()
+            || Self::walk(src, dst, x_first)
+                .all(|to| !self.link_failed(std::mem::replace(&mut from, to), to))
     }
 
     /// Dimension-ordered XY route, ignoring link failures.
@@ -168,7 +185,9 @@ impl Mesh {
     pub fn route_xy(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>> {
         self.check(src)?;
         self.check(dst)?;
-        Ok(Self::walk(src, dst, true))
+        Ok(std::iter::once(src)
+            .chain(Self::walk(src, dst, true))
+            .collect())
     }
 
     /// Fault-aware route: XY if alive, else YX, else a breadth-first
@@ -179,17 +198,35 @@ impl Mesh {
     /// Returns [`NocError::NoRoute`] when the destination is unreachable
     /// over live links, or [`NocError::UnknownNode`] for bad endpoints.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>> {
+        let mut path = Vec::new();
+        self.route_into(src, dst, &mut path)?;
+        Ok(path)
+    }
+
+    /// [`route`](Self::route) into a caller's buffer, which is cleared
+    /// first: the network reuses one, so a transfer's route allocates
+    /// nothing once the buffer has grown.
+    ///
+    /// # Errors
+    ///
+    /// As [`route`](Self::route); the buffer's contents are then
+    /// unspecified.
+    pub fn route_into(&self, src: NodeId, dst: NodeId, path: &mut Vec<NodeId>) -> Result<()> {
         self.check(src)?;
         self.check(dst)?;
-        let xy = Self::walk(src, dst, true);
-        if self.path_alive(&xy) {
-            return Ok(xy);
-        }
-        let yx = Self::walk(src, dst, false);
-        if self.path_alive(&yx) {
-            return Ok(yx);
-        }
-        self.bfs(src, dst).ok_or(NocError::NoRoute { src, dst })
+        path.clear();
+        let x_first = if self.walk_alive(src, dst, true) {
+            true
+        } else if self.walk_alive(src, dst, false) {
+            false
+        } else {
+            let bfs = self.bfs(src, dst).ok_or(NocError::NoRoute { src, dst })?;
+            path.extend(bfs);
+            return Ok(());
+        };
+        path.push(src);
+        path.extend(Self::walk(src, dst, x_first));
+        Ok(())
     }
 
     fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
@@ -213,7 +250,7 @@ impl Mesh {
         use std::collections::{HashMap, VecDeque};
         let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
         let mut queue = VecDeque::from([src]);
-        let mut seen = HashSet::from([src]);
+        let mut seen = std::collections::HashSet::from([src]);
         while let Some(n) = queue.pop_front() {
             if n == dst {
                 let mut path = vec![dst];
@@ -326,6 +363,32 @@ mod tests {
         mesh.repair_link(n(0, 0), n(1, 0));
         assert!(mesh.route(n(0, 0), n(1, 0)).is_ok());
         assert_eq!(mesh.failed_link_count(), 0);
+    }
+
+    #[test]
+    fn route_into_overwrites_the_buffer_with_the_route() {
+        let mut mesh = Mesh::new(4, 4).unwrap();
+        let mut path = vec![n(3, 3); 9];
+        for fail in [None, Some((n(1, 0), n(2, 0))), Some((n(0, 2), n(0, 3)))] {
+            if let Some((a, b)) = fail {
+                mesh.fail_link(a, b);
+            }
+            for (src, dst) in [(n(0, 0), n(3, 3)), (n(0, 0), n(3, 0)), (n(2, 1), n(2, 1))] {
+                mesh.route_into(src, dst, &mut path).unwrap();
+                assert_eq!(path, mesh.route(src, dst).unwrap());
+            }
+        }
+        // A same-row route's XY and YX walks coincide, so the cut sends
+        // it to the breadth-first detour.
+        assert_eq!(mesh.failed_link_count(), 2);
+        assert_eq!(
+            mesh.route(n(0, 0), n(3, 0)).unwrap(),
+            [n(0, 0), n(1, 0), n(1, 1), n(2, 1), n(3, 1), n(3, 0)]
+        );
+        mesh.repair_link(n(2, 0), n(1, 0));
+        assert_eq!(mesh.failed_link_count(), 1);
+        assert!(!mesh.link_failed(n(1, 0), n(2, 0)));
+        assert!(mesh.link_failed(n(0, 3), n(0, 2)));
     }
 
     #[test]
