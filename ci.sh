@@ -29,7 +29,9 @@
 #                     sweep, each gated on full action-kind coverage,
 #                     plus three weakened-invariant replay
 #                     self-checks), the wide-sample analytic_check seed
-#                     sweep, and the bench-regression comparison
+#                     sweep, a smoke run of every benches/hotpaths.rs
+#                     row (two tiny samples each, ungated: a row that
+#                     panics fails), and the bench-regression comparison
 #                     against the committed BENCH_*.json baselines (with
 #                     the ≥10× analytic serving speedup floor). Hosted
 #                     CI runs it on pushes to main.
@@ -290,6 +292,13 @@ done
 step "analytic_check: two-tier agreement, wide sample + seed sweep"
 cargo run --release --offline -p cim-bench --bin analytic_check -- \
     --sample wide --seeds 3 --out "$ART/analytic_disagreements.jsonl"
+
+step "bench smoke: every hotpaths row runs"
+# benches/hotpaths.rs has no committed baseline and no gate, and clippy
+# only compiles it, so this runs every row on two tiny samples: a row
+# that panics fails here. Its timings are not compared.
+BENCH_SAMPLES=2 BENCH_WARMUP_MS=0 BENCH_TARGET_SAMPLE_US=1 \
+    cargo bench --offline -p cim-bench --bench hotpaths | tee "$ART/BENCH_hotpaths.json"
 
 # ------------------------------------------------------------- benches
 # Fresh bench runs land in target/ci-artifacts (uploaded by hosted CI on

@@ -24,6 +24,7 @@ use cim_sim::analytic::SimMode;
 use cim_sim::time::{SimDuration, SimTime};
 use cim_sim::SeedTree;
 use cim_workloads::nn::mlp_graph;
+use cim_workloads::serving::standard_request_mix;
 use std::collections::HashMap;
 
 fn bench_crossbar() {
@@ -68,6 +69,32 @@ fn bench_crossbar() {
         dpe.program(&w).unwrap();
         g.bench(name, || black_box(dpe.matvec(black_box(&x)).unwrap()));
     }
+
+    // The standard serving mix's six layer shapes on the calibrated
+    // engine, analytic, each with a mixed-sign input: one pass is one
+    // request of each class.
+    let mut mix: Vec<(DotProductEngine, Vec<f64>)> = standard_request_mix()
+        .iter()
+        .flat_map(|class| class.layer_dims.windows(2).map(|d| (d[0], d[1])))
+        .map(|(rows, cols)| {
+            let w = DenseMatrix::from_fn(rows, cols, |r, cc| {
+                (((r * 3 + cc) % 23) as f64 / 23.0) - 0.5
+            });
+            let mut dpe = DotProductEngine::new(DpeConfig::default(), seeds);
+            dpe.set_mode(SimMode::Analytic);
+            dpe.program(&w).unwrap();
+            let x = (0..rows)
+                .map(|i| ((i * 7 % 19) as f64 / 19.0) - 0.45)
+                .collect();
+            (dpe, x)
+        })
+        .collect();
+    g.throughput(mix.iter().map(|(dpe, _)| dpe.macs_per_matvec()).sum());
+    g.bench("dpe_matvec_mix_analytic", || {
+        for (dpe, x) in &mut mix {
+            black_box(dpe.matvec(black_box(x)).unwrap());
+        }
+    });
     g.finish();
 }
 
@@ -98,7 +125,11 @@ fn bench_noc() {
     // mesh): 0- to 4-hop routes, all three classes, 16–512 byte payloads,
     // one departure every 40 ns. Each pass replays the stream one stream
     // length later, so link utilisation stays put while every link's
-    // state is already populated.
+    // state is already populated. The last row fails the corner link
+    // (0,3)↔(1,3), which 32 of the stream's XY routes cross, so every
+    // route checks the failed links and those 32 take YX. (Failing
+    // (3,3)↔(3,2) instead sends its 32 to the breadth-first detour: their
+    // XY and YX walks both use it.)
     const STREAM: u64 = 256;
     let node = |i: u64| NodeId::new((i % 4) as u16, (i / 4 % 4) as u16);
     let packets: Vec<Packet> = (0..STREAM)
@@ -109,11 +140,16 @@ fn bench_noc() {
         .collect();
     let gap = SimDuration::from_ns(40);
     g.throughput(STREAM);
-    for (name, mode) in [
-        ("estimate_stream_4x4", SimMode::Analytic),
-        ("transmit_stream_4x4", SimMode::Detailed),
+    for (name, mode, failed_link) in [
+        ("estimate_stream_4x4", SimMode::Analytic, false),
+        ("transmit_stream_4x4", SimMode::Detailed, false),
+        ("estimate_stream_4x4_failed_link", SimMode::Analytic, true),
     ] {
         let mut noc = NocNetwork::new(4, 4, 7).unwrap();
+        if failed_link {
+            noc.mesh_mut()
+                .fail_link(NodeId::new(0, 3), NodeId::new(1, 3));
+        }
         let mut epoch = SimTime::ZERO;
         let mut pass = |noc: &mut NocNetwork| {
             for (p, i) in packets.iter().zip(0..) {
