@@ -230,6 +230,9 @@ pub struct DotProductEngine {
 /// one-bit digits (16-bit inputs).
 const MAX_PHASES: usize = 30;
 
+/// The analog settle of one read phase.
+const SETTLE: SimDuration = SimDuration::from_ps(cal::READ_PHASE_PS);
+
 /// Everything a matvec charges that depends only on the configuration
 /// and the tiling, computed once in [`DotProductEngine::new`] and
 /// [`DotProductEngine::program`], so each call pays only for its counts.
@@ -246,12 +249,10 @@ struct MatvecCosts {
     /// A driven row's extra DAC energy: multi-level drivers cost roughly
     /// linear in digit width.
     per_drive_fj: u64,
-    /// The analog settle of one read phase.
-    settle: SimDuration,
     /// One ADC sweep over an array's columns.
     adc_sweep: SimDuration,
-    /// One pipelined phase: the settle overlaps the previous phase's
-    /// sweep, so it takes the longer of the two.
+    /// One pipelined phase: the analog settle overlaps the previous
+    /// phase's sweep, so it takes the longer of the two.
     phase: SimDuration,
     /// Arrays per row tile: every column tile's signs and slices.
     row_tile_arrays: u64,
@@ -262,7 +263,6 @@ struct MatvecCosts {
 
 impl MatvecCosts {
     fn new(config: &DpeConfig, adc: &Adc) -> Self {
-        let settle = SimDuration::from_ps(cal::READ_PHASE_PS);
         let adc_sweep = adc.conversion_time() * config.array_cols as u64;
         let conversion_fj = adc.conversion_energy().as_fj();
         MatvecCosts {
@@ -272,9 +272,8 @@ impl MatvecCosts {
             conversion_fj,
             per_read_fj: (conversion_fj + cal::SHIFT_ADD_FJ) * config.array_cols as u64,
             per_drive_fj: cal::DAC_DRIVE_FJ * u64::from(config.dac_bits - 1),
-            settle,
             adc_sweep,
-            phase: settle.max(adc_sweep),
+            phase: SETTLE.max(adc_sweep),
             row_tile_arrays: 0,
             static_fj: [0; MAX_PHASES + 1],
         }
@@ -637,7 +636,10 @@ impl DotProductEngine {
             (if a > m { a } else { m }, finite & (a <= f64::MAX))
         });
         if !finite {
-            let i = x.iter().position(|v| !v.is_finite()).unwrap_or(0);
+            let i = x
+                .iter()
+                .position(|v| !v.is_finite())
+                .expect("a non-finite entry failed the check");
             return Err(CrossbarError::InvalidConfig {
                 reason: format!("input entry {i} is {}, inputs must be finite", x[i]),
             });
@@ -727,7 +729,7 @@ impl DotProductEngine {
             // Latency attribution is disjoint so per-stage busy times sum
             // exactly to the matvec latency: each pipelined phase goes to
             // the dominant stage, the trailing drain sweep to the ADC.
-            let (array_ps, adc_ps) = if costs.settle >= costs.adc_sweep {
+            let (array_ps, adc_ps) = if SETTLE >= costs.adc_sweep {
                 (pipelined.as_ps(), costs.adc_sweep.as_ps())
             } else {
                 (0, latency.as_ps())

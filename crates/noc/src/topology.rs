@@ -143,28 +143,17 @@ impl Mesh {
     /// The nodes after `src` on the dimension-ordered walk to `dst`: X
     /// first, then Y, or the reverse.
     fn walk(src: NodeId, dst: NodeId, x_first: bool) -> impl Iterator<Item = NodeId> {
-        let step_x = move |cur: &mut NodeId| {
-            let moved = cur.x != dst.x;
-            if moved {
-                cur.x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-            }
-            moved
-        };
-        let step_y = move |cur: &mut NodeId| {
-            let moved = cur.y != dst.y;
-            if moved {
-                cur.y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-            }
-            moved
-        };
+        let step = |from: u16, to: u16| if to > from { from + 1 } else { from - 1 };
         let mut cur = src;
         std::iter::from_fn(move || {
-            let moved = if x_first {
-                step_x(&mut cur) || step_y(&mut cur)
+            if cur.x != dst.x && (x_first || cur.y == dst.y) {
+                cur.x = step(cur.x, dst.x);
+            } else if cur.y != dst.y {
+                cur.y = step(cur.y, dst.y);
             } else {
-                step_y(&mut cur) || step_x(&mut cur)
-            };
-            moved.then_some(cur)
+                return None;
+            }
+            Some(cur)
         })
     }
 
