@@ -357,10 +357,11 @@ fn count_active_rows_in<const HALVES: usize>(q: &[i32], dac_bits: u32, counts: &
             // All ones for a negative value, whose digits drive the
             // negative phases; a zero sets no bit in either.
             let negative = u64::from(v < 0).wrapping_neg();
-            for half in 0..HALVES {
+            let [pos_lanes, neg_lanes] = &mut lanes;
+            for ((p, n), half) in pos_lanes.iter_mut().zip(neg_lanes).zip(0..) {
                 let bytes = spread(u64::from(nonzero >> (8 * half)));
-                lanes[0][half] += bytes & !negative;
-                lanes[1][half] += bytes & negative;
+                *p += bytes & !negative;
+                *n += bytes & negative;
             }
         }
         for (lanes, counts) in lanes.iter().zip([&mut *pos, &mut *neg]) {
